@@ -37,6 +37,27 @@ class BlockDevice
     [[nodiscard]] virtual IoResult submit(const IoRequest &req,
                                           sim::SimTime now) = 0;
 
+    /**
+     * Submit with the host's latency forecast for @p req (0 = none).
+     * Layers that act on forecasts override this (the resilience
+     * policy hedges reads forecast slow); the default ignores it.
+     */
+    [[nodiscard]] virtual IoResult
+    submitHinted(const IoRequest &req, sim::SimTime now,
+                 sim::SimDuration predictedLatency)
+    {
+        (void)predictedLatency;
+        return submit(req, now);
+    }
+
+    /**
+     * Whether the forecasts passed to submitHinted() are currently
+     * trustworthy (the health supervisor's verdict on the model).
+     * Layers that act on forecasts override this; the default
+     * ignores it.
+     */
+    virtual void trustForecasts(bool trusted) { (void)trusted; }
+
     /** Device capacity in sectors. */
     virtual uint64_t capacitySectors() const = 0;
 

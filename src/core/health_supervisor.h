@@ -75,6 +75,15 @@ enum class HealthState : uint8_t
 /** Human-readable name of a HealthState. */
 std::string toString(HealthState s);
 
+/** Whether the model's latency forecasts may be acted on in state @p s
+ *  (not while it is quarantined, being rebuilt or given up on). */
+inline bool
+forecastsTrusted(HealthState s)
+{
+    return s != HealthState::Degraded && s != HealthState::Rediagnosing &&
+           s != HealthState::Disabled;
+}
+
 /** Supervisor tunables. */
 struct HealthSupervisorConfig
 {

@@ -48,7 +48,7 @@ referenceVictim(const ssd::PageMapper &m)
 } // namespace
 
 std::vector<std::string>
-checkInvariants(const CheckpointableRun &run)
+checkInvariants(const RunStack &run)
 {
     std::vector<std::string> violations;
     const ssd::SsdDevice &dev = run.device();
@@ -82,9 +82,10 @@ checkInvariants(const CheckpointableRun &run)
     }
 
     // -- counter conservation across layers ------------------------------
+    // Recall is only folded when the stack runs a model.
     const core::AccuracyResult &acc = run.accuracy();
     const uint64_t completed = acc.nlTotal + acc.hlTotal + acc.faulted;
-    if (completed != run.cursor())
+    if (run.checkPtr() != nullptr && completed != run.cursor())
         violations.push_back(
             fmt("accuracy counters account for %" PRIu64
                 " requests but the workload cursor is at %" PRIu64,
@@ -94,7 +95,11 @@ checkInvariants(const CheckpointableRun &run)
 
     const blockdev::ResilienceCounters &rc = run.resilient().counters();
     const core::HealthSupervisor *sup = run.supervisorPtr();
-    const resilience::PolicyDevice *pol = run.policyPtr();
+    // A disabled policy is a pure pass-through that counts nothing.
+    const resilience::PolicyDevice *pol =
+        run.policyPtr() != nullptr && run.policyPtr()->config().enabled
+            ? run.policyPtr()
+            : nullptr;
     const uint64_t probes = sup != nullptr ? sup->counters().probesIssued : 0;
     // QD1 barrier: nothing is in flight, so host submissions are
     // exactly the completed workload requests plus supervisor probes.

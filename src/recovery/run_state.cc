@@ -1,22 +1,213 @@
 #include "recovery/run_state.h"
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 #include "core/diagnosis.h"
 #include "ssd/presets.h"
+#include "workload/snia_synth.h"
 
 namespace ssdcheck::recovery {
 
-namespace {
+std::string
+scaleError(double scale)
+{
+    if (!std::isfinite(scale) || scale <= 0 || scale > 1)
+        return "scale must be a number in (0, 1]";
+    return "";
+}
 
-/** Host-latency histogram bounds — must match core/accuracy.cc so the
- *  run command's metrics snapshots stay comparable with `accuracy`. */
-const std::vector<int64_t> kHostLatencyBounds = {
-    50'000,     100'000,    250'000,    500'000,    1'000'000,
-    2'500'000,  5'000'000,  10'000'000, 25'000'000, 100'000'000};
+std::unique_ptr<RunStack>
+RunStack::build(const RunSpec &spec, bool forResume, std::string *err)
+{
+    std::unique_ptr<RunStack> stack(new RunStack());
+    if (!stack->init(spec, forResume, err))
+        return nullptr;
+    return stack;
+}
 
-} // namespace
+bool
+RunStack::init(const RunSpec &spec, bool forResume, std::string *err)
+{
+    auto fail = [&](const std::string &why) {
+        if (err != nullptr)
+            *err = why;
+        return false;
+    };
+    ssd::SsdConfig cfg;
+    if (!ssd::presetByName(spec.device, &cfg))
+        return fail("unknown device '" + spec.device + "'");
+    cfg.faults = spec.faults;
+    if (spec.deviceSeed)
+        cfg.seed = *spec.deviceSeed;
+    workload::SniaWorkload w = workload::SniaWorkload::RwMixed;
+    if (!workload::sniaWorkloadByName(spec.workload, &w))
+        return fail("unknown workload '" + spec.workload + "'");
+    const std::string se = scaleError(spec.scale);
+    if (!se.empty())
+        return fail(se);
+    if (spec.supervisor && !spec.model)
+        return fail("the health supervisor needs the model");
+
+    spec_ = spec;
+    dev_ = std::make_unique<ssd::SsdDevice>(cfg);
+    rdev_ = std::make_unique<blockdev::ResilientDevice>(*dev_);
+    if (spec.policy)
+        pdev_ = std::make_unique<resilience::PolicyDevice>(*rdev_,
+                                                           *spec.policy);
+    if (spec.model && forResume) {
+        check_ = std::make_unique<core::SsdCheck>(core::FeatureSet{});
+    } else if (spec.model) {
+        // Features come from a healthy twin (same model and seed, no
+        // faults): the whole fault budget lands on the measured run,
+        // so the runtime machinery is what gets tested.
+        ssd::SsdConfig cleanCfg = cfg;
+        cleanCfg.faults = ssd::FaultProfile{};
+        ssd::SsdDevice cleanDev(cleanCfg);
+        core::DiagnosisRunner runner(cleanDev, core::DiagnosisConfig{});
+        const core::FeatureSet fs = runner.extractFeatures();
+        if (!fs.bufferModelUsable())
+            return fail("no usable buffer model for device '" +
+                        spec.device + "'");
+        check_ = std::make_unique<core::SsdCheck>(fs);
+        t_ = runner.now();
+    }
+    // With a policy stacked, probes flow through it: supervisor probe
+    // I/O is exactly the breaker's HalfOpen trial stream.
+    if (spec.supervisor)
+        sup_ = std::make_unique<core::HealthSupervisor>(*check_, top());
+
+    // The attach order must be identical on the fresh and resume paths
+    // so the registry's registration order (its restore key) matches.
+    const obs::Sink &sink = spec.sink;
+    if (sink.metrics != nullptr && spec.timelineMs > 0)
+        sink.metrics->enableTimeline(sim::milliseconds(spec.timelineMs));
+    if (sink.any()) {
+        dev_->attachObservability(sink);
+        rdev_->attachObservability(sink);
+        if (pdev_)
+            pdev_->attachObservability(sink);
+        if (check_)
+            check_->attachObservability(sink);
+        if (sup_)
+            sup_->attachObservability(sink);
+    }
+    if (sink.trace != nullptr) {
+        obs::TraceRecorder &tr = *sink.trace;
+        tr.setProcessName(obs::kHostPid, "host");
+        tr.setProcessName(obs::kDevicePid, "ssd " + dev_->name());
+        tr.setThreadName({obs::kHostPid, obs::kHostWorkloadTid}, "workload");
+        tr.setThreadName({obs::kHostPid, obs::kHostResilientTid},
+                         "resilient-io");
+        tr.setThreadName({obs::kHostPid, obs::kHostModelTid},
+                         "ssdcheck-model");
+        tr.setThreadName({obs::kHostPid, obs::kHostSupervisorTid},
+                         "supervisor");
+        tr.setThreadName({obs::kDevicePid, obs::kDeviceInterfaceTid},
+                         "interface");
+        for (uint32_t v = 0; v < dev_->config().numVolumes(); ++v)
+            tr.setThreadName({obs::kDevicePid, v},
+                             "volume " + std::to_string(v));
+    }
+    loop_ = core::HostLoop(top(), check_.get(), sup_.get(), sink);
+    // Stage views last: they are registry views (never serialized), so
+    // their presence cannot perturb checkpoint bytes or restore order.
+    if (sink.stages != nullptr && sink.metrics != nullptr)
+        sink.stages->exportTo(*sink.metrics);
+
+    if (!forResume)
+        dev_->precondition();
+    trace_ = workload::buildSniaTrace(w, dev_->capacityPages(), spec.scale);
+    if (sink.audit != nullptr)
+        sink.audit->reserve(sink.audit->size() + trace_.size());
+    origin_ = t_;
+    return true;
+}
+
+blockdev::BlockDevice &
+RunStack::top()
+{
+    if (pdev_)
+        return *pdev_;
+    return *rdev_;
+}
+
+core::HostStep
+RunStack::step()
+{
+    // Open pacing: t_ is the host submit clock — it follows arrivals
+    // even while the device's completion horizon runs ahead (that gap
+    // is what admission control measures). Closed pacing folds the
+    // completion into t_, so max() waits for it here.
+    if (spec_.arrivalPeriod > 0)
+        t_ = std::max(t_, origin_ + static_cast<sim::SimDuration>(cursor_) *
+                                        spec_.arrivalPeriod);
+    const core::HostStep s = loop_.request(trace_[cursor_].req, t_);
+    t_ = spec_.pacing == Pacing::Closed ? s.res.completeTime : s.submitted;
+    ++cursor_;
+    return s;
+}
+
+template <typename Self, typename Visit>
+void
+RunStack::forEachSection(Self &self, Visit &&visit)
+{
+    visit(SectionId::Device, "device", self.dev_.get());
+    visit(SectionId::Model, "model", self.check_.get());
+    visit(SectionId::Supervisor, "supervisor", self.sup_.get());
+    visit(SectionId::Resilient, "resilient", self.rdev_.get());
+    visit(SectionId::Resilience, "resilience", self.pdev_.get());
+    visit(SectionId::Accuracy, "accuracy",
+          self.check_ ? &self.loop_.acc : nullptr);
+    visit(SectionId::Registry, "registry", self.spec_.sink.metrics);
+}
+
+Snapshot
+RunStack::snapshot(uint64_t configHash) const
+{
+    Snapshot snap;
+    snap.begin(configHash, cursor_, t_.ns());
+    forEachSection(*this, [&](SectionId id, const char *, const auto *layer) {
+        if (layer == nullptr)
+            return;
+        StateWriter w;
+        layer->saveState(w);
+        snap.addSection(id, w.take());
+    });
+    return snap;
+}
+
+LoadError
+RunStack::restoreSections(const Snapshot &snap, std::string *detail)
+{
+    if (snap.requestIndex() > trace_.size()) {
+        if (detail != nullptr)
+            *detail = "snapshot resume point is beyond the end of the trace";
+        return LoadError::Malformed;
+    }
+    LoadError e = LoadError::Ok;
+    forEachSection(*this, [&](SectionId id, const char *name, auto *layer) {
+        if (e != LoadError::Ok)
+            return;
+        if (layer != nullptr) {
+            e = loadSection(snap, id, name, detail,
+                            [&](StateReader &r) { layer->loadState(r); });
+        } else if (snap.section(id) != nullptr) {
+            if (detail != nullptr)
+                *detail = std::string("snapshot has a ") + name +
+                          " section but this run has no such layer";
+            e = LoadError::Malformed;
+        }
+    });
+    if (e != LoadError::Ok)
+        return e;
+    cursor_ = snap.requestIndex();
+    t_ = sim::SimTime{snap.simTimeNs()};
+    return LoadError::Ok;
+}
+
 
 std::string
 RunParams::canonical() const
@@ -36,214 +227,61 @@ RunParams::configHash() const
     return fnv1a(canonical());
 }
 
-std::unique_ptr<CheckpointableRun>
-CheckpointableRun::create(const RunParams &params, bool forResume,
-                          std::string *err, obs::StageProfiler *stages)
+bool
+RunParams::toSpec(RunSpec *out, std::string *err) const
 {
     auto fail = [&](const std::string &why) {
         if (err != nullptr)
             *err = why;
-        return nullptr;
+        return false;
     };
-
-    ssd::FaultProfile faults;
-    if (!ssd::faultProfileByName(params.faults, &faults))
-        return fail("unknown fault profile '" + params.faults + "'");
-
-    ssd::SsdConfig cfg;
-    if (params.device == "nvm") {
-        cfg = ssd::makeNvmBackedSsd();
-    } else if (params.device.size() == 1 && params.device[0] >= 'A' &&
-               params.device[0] <= 'G') {
-        cfg = ssd::makePreset(
-            static_cast<ssd::SsdModel>(params.device[0] - 'A'));
-    } else {
-        return fail("unknown device '" + params.device + "'");
+    RunSpec spec;
+    if (!ssd::faultProfileByName(faults, &spec.faults)) {
+        std::string names;
+        for (const ssd::FaultProfile &p : ssd::allFaultProfiles())
+            names += (names.empty() ? "" : " ") + p.name;
+        return fail("unknown fault profile '" + faults + "' (try: " +
+                    names + ")");
     }
-    cfg.faults = faults;
-
-    bool workloadKnown = false;
-    workload::SniaWorkload w = workload::SniaWorkload::RwMixed;
-    for (const auto candidate : workload::allSniaWorkloads()) {
-        if (toString(candidate) == params.workload) {
-            w = candidate;
-            workloadKnown = true;
-            break;
-        }
-    }
-    if (!workloadKnown)
-        return fail("unknown workload '" + params.workload + "'");
-    if (params.scale <= 0)
-        return fail("scale must be positive");
-
     resilience::ResiliencePolicy policy;
-    if (!resilience::resiliencePolicyByName(params.resilience, &policy))
-        return fail("unknown resilience policy '" + params.resilience +
-                    "'");
-
-    std::unique_ptr<CheckpointableRun> run(new CheckpointableRun());
-    run->params_ = params;
-    run->dev_ = std::make_unique<ssd::SsdDevice>(cfg);
-    run->rdev_ =
-        std::make_unique<blockdev::ResilientDevice>(*run->dev_);
+    if (!resilience::resiliencePolicyByName(resilience, &policy))
+        return fail("unknown resilience policy '" + resilience + "'");
     if (policy.enabled)
-        run->pdev_ = std::make_unique<resilience::PolicyDevice>(
-            *run->rdev_, policy);
-
-    if (forResume) {
-        // Diagnosis and preconditioning only produce state that
-        // restore() is about to overwrite; skip both and let the
-        // Model section's features rebuild the engine.
-        run->check_ = std::make_unique<core::SsdCheck>(core::FeatureSet{});
-    } else {
-        // Features come from a healthy twin (same model, no faults):
-        // the fault budget lands entirely on the measured run.
-        ssd::SsdConfig cleanCfg = cfg;
-        cleanCfg.faults = ssd::FaultProfile{};
-        ssd::SsdDevice cleanDev(cleanCfg);
-        core::DiagnosisRunner runner(cleanDev, core::DiagnosisConfig{});
-        const core::FeatureSet fs = runner.extractFeatures();
-        if (!fs.bufferModelUsable())
-            return fail("no usable buffer model for device '" +
-                        params.device + "'; nothing to run");
-        run->check_ = std::make_unique<core::SsdCheck>(fs);
-        run->t_ = runner.now();
-    }
-    if (params.supervisor) {
-        // With a policy stacked, probes flow through it: supervisor
-        // probe I/O is exactly the breaker's HalfOpen trial stream.
-        blockdev::BlockDevice &probePath =
-            run->pdev_ ? static_cast<blockdev::BlockDevice &>(*run->pdev_)
-                       : *run->rdev_;
-        run->sup_ = std::make_unique<core::HealthSupervisor>(
-            *run->check_, probePath);
-    }
-
-    // Metrics are always attached: the registry is part of the
-    // checkpointed state and of the final-state comparison. The
-    // attach order must be identical on the fresh and resume paths so
-    // the registry's registration order (its restore key) matches.
-    obs::Sink sink;
-    sink.metrics = &run->registry_;
-    sink.stages = stages;
-    run->stages_ = stages;
-    if (params.timelineMs > 0)
-        run->registry_.enableTimeline(sim::milliseconds(params.timelineMs));
-    run->dev_->attachObservability(sink);
-    run->rdev_->attachObservability(sink);
-    if (run->pdev_)
-        run->pdev_->attachObservability(sink);
-    run->check_->attachObservability(sink);
-    if (run->sup_)
-        run->sup_->attachObservability(sink);
-    run->hostLatency_ =
-        run->registry_.histogram("host_latency_ns", kHostLatencyBounds);
-    // Stage views last: they are registry views (never serialized), so
-    // their presence cannot perturb checkpoint bytes or restore order.
-    if (stages != nullptr)
-        stages->exportTo(run->registry_);
-
-    if (!forResume)
-        run->dev_->precondition();
-    run->trace_ = workload::buildSniaTrace(
-        w, run->dev_->capacityPages(), params.scale);
-    return run;
+        spec.policy = policy;
+    spec.device = device;
+    spec.workload = workload;
+    spec.scale = scale;
+    spec.supervisor = supervisor;
+    spec.timelineMs = timelineMs;
+    *out = spec;
+    return true;
 }
 
-void
-CheckpointableRun::step()
+std::unique_ptr<CheckpointableRun>
+CheckpointableRun::create(const RunParams &params, bool forResume,
+                          std::string *err, obs::StageProfiler *stages)
 {
-    // One iteration of core::evaluatePredictionAccuracy's QD1 loop —
-    // the two must stay behaviorally identical (the resume property
-    // test compares a stepped run against the uninterrupted one).
-    const blockdev::IoRequest &req = trace_.records()[cursor_].req;
-    if (sup_)
-        t_ = sup_->pump(t_);
-    const core::Prediction pred = check_->predict(req, t_);
-    check_->onSubmit(req, t_);
-    if (pdev_ && sup_)
-        pdev_->observeHealth(sup_->state());
-    const blockdev::IoResult res =
-        pdev_ ? pdev_->submitHinted(req, t_, pred.eet)
-              : rdev_->submit(req, t_);
-    const bool actualHl = check_->onComplete(req, pred, t_,
-                                             res.completeTime, res.status,
-                                             res.attempts);
-    if (sup_)
-        sup_->onCompletion(req, actualHl, res);
-    {
-        // Registry upkeep is observability overhead, not simulation
-        // work: bill it to the trace stage (mirrors accuracy.cc).
-        const obs::StageScope obsStage(stages_, obs::Stage::Trace);
-        hostLatency_.observe(res.completeTime - t_);
-        registry_.tick(res.completeTime);
-    }
-    if (stages_ != nullptr)
-        stages_->addRequest();
-    if (!res.ok() || res.attempts > 1) {
-        ++acc_.faulted;
-    } else if (actualHl) {
-        ++acc_.hlTotal;
-        if (pred.hl)
-            ++acc_.hlCorrect;
-    } else {
-        ++acc_.nlTotal;
-        if (!pred.hl)
-            ++acc_.nlCorrect;
-    }
-    t_ = res.completeTime;
-    ++cursor_;
+    std::unique_ptr<CheckpointableRun> run(new CheckpointableRun());
+    run->params_ = params;
+    RunSpec spec;
+    if (!params.toSpec(&spec, err))
+        return nullptr;
+    // Metrics are always attached: the registry is part of the
+    // checkpointed state and of the final-state comparison.
+    spec.sink.metrics = &run->registry_;
+    spec.sink.stages = stages;
+    if (!run->init(spec, forResume, err))
+        return nullptr;
+    return run;
 }
 
 Snapshot
 CheckpointableRun::checkpoint() const
 {
-    Snapshot snap;
-    snap.begin(params_.configHash(), cursor_, t_.ns());
-    {
-        StateWriter w;
-        dev_->saveState(w);
-        snap.addSection(SectionId::Device, w.take());
-    }
-    {
-        StateWriter w;
-        check_->saveState(w);
-        snap.addSection(SectionId::Model, w.take());
-    }
-    if (sup_) {
-        StateWriter w;
-        sup_->saveState(w);
-        snap.addSection(SectionId::Supervisor, w.take());
-    }
-    {
-        StateWriter w;
-        rdev_->saveState(w);
-        snap.addSection(SectionId::Resilient, w.take());
-    }
-    if (pdev_) {
-        StateWriter w;
-        pdev_->saveState(w);
-        snap.addSection(SectionId::Resilience, w.take());
-    }
-    {
-        StateWriter w;
-        w.u64(acc_.nlTotal);
-        w.u64(acc_.nlCorrect);
-        w.u64(acc_.hlTotal);
-        w.u64(acc_.hlCorrect);
-        w.u64(acc_.faulted);
-        snap.addSection(SectionId::Accuracy, w.take());
-    }
-    {
-        StateWriter w;
-        registry_.saveState(w);
-        snap.addSection(SectionId::Registry, w.take());
-    }
-    {
-        StateWriter w;
-        w.str(params_.canonical());
-        snap.addSection(SectionId::RunParams, w.take());
-    }
+    Snapshot snap = snapshot(params_.configHash());
+    StateWriter w;
+    w.str(params_.canonical());
+    snap.addSection(SectionId::RunParams, w.take());
     return snap;
 }
 
@@ -251,97 +289,14 @@ LoadError
 CheckpointableRun::restore(const Snapshot &snap, std::string *detail,
                            bool forceConfig)
 {
-    auto explain = [&](const std::string &why) {
-        if (detail != nullptr)
-            *detail = why;
-    };
     if (!forceConfig && snap.configHash() != params_.configHash()) {
-        explain("snapshot was taken under a different run configuration "
-                "(this run: " +
-                params_.canonical() + ")");
+        if (detail != nullptr)
+            *detail = "snapshot was taken under a different run "
+                      "configuration (this run: " +
+                      params_.canonical() + ")";
         return LoadError::ConfigMismatch;
     }
-    if (snap.requestIndex() > trace_.size()) {
-        explain("snapshot resume point is beyond the end of the trace");
-        return LoadError::Malformed;
-    }
-
-    // Load one section through a component's loadState. Every decode
-    // failure surfaces as Malformed with the section named — CRCs
-    // passed, so the payload is intact but semantically unusable.
-    auto load = [&](SectionId id, const char *name,
-                    auto &&fn) -> LoadError {
-        const std::vector<uint8_t> *payload = snap.section(id);
-        if (payload == nullptr) {
-            explain(std::string("required section '") + name +
-                    "' is missing");
-            return LoadError::MissingSection;
-        }
-        StateReader r(*payload);
-        fn(r);
-        if (!r.ok()) {
-            explain(std::string("section '") + name +
-                    "': " + r.error());
-            return LoadError::Malformed;
-        }
-        if (!r.atEnd()) {
-            explain(std::string("section '") + name +
-                    "' has trailing bytes");
-            return LoadError::Malformed;
-        }
-        return LoadError::Ok;
-    };
-
-    LoadError e;
-    e = load(SectionId::Device, "device",
-             [&](StateReader &r) { dev_->loadState(r); });
-    if (e != LoadError::Ok)
-        return e;
-    e = load(SectionId::Model, "model",
-             [&](StateReader &r) { check_->loadState(r); });
-    if (e != LoadError::Ok)
-        return e;
-    if (sup_) {
-        e = load(SectionId::Supervisor, "supervisor",
-                 [&](StateReader &r) { sup_->loadState(r); });
-        if (e != LoadError::Ok)
-            return e;
-    } else if (snap.section(SectionId::Supervisor) != nullptr) {
-        explain("snapshot has a supervisor section but this run has "
-                "no supervisor");
-        return LoadError::Malformed;
-    }
-    e = load(SectionId::Resilient, "resilient",
-             [&](StateReader &r) { rdev_->loadState(r); });
-    if (e != LoadError::Ok)
-        return e;
-    if (pdev_) {
-        e = load(SectionId::Resilience, "resilience",
-                 [&](StateReader &r) { pdev_->loadState(r); });
-        if (e != LoadError::Ok)
-            return e;
-    } else if (snap.section(SectionId::Resilience) != nullptr) {
-        explain("snapshot has a resilience section but this run has "
-                "no policy layer");
-        return LoadError::Malformed;
-    }
-    e = load(SectionId::Accuracy, "accuracy", [&](StateReader &r) {
-        acc_.nlTotal = r.u64();
-        acc_.nlCorrect = r.u64();
-        acc_.hlTotal = r.u64();
-        acc_.hlCorrect = r.u64();
-        acc_.faulted = r.u64();
-    });
-    if (e != LoadError::Ok)
-        return e;
-    e = load(SectionId::Registry, "registry",
-             [&](StateReader &r) { registry_.loadState(r); });
-    if (e != LoadError::Ok)
-        return e;
-
-    cursor_ = snap.requestIndex();
-    t_ = sim::SimTime{snap.simTimeNs()};
-    return LoadError::Ok;
+    return restoreSections(snap, detail);
 }
 
 } // namespace ssdcheck::recovery

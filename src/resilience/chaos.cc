@@ -1,34 +1,20 @@
 #include "resilience/chaos.h"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 
-#include "core/diagnosis.h"
 #include "obs/exporter/telemetry.h"
 #include "perf/thread_pool.h"
+#include "recovery/invariants.h"
 #include "recovery/state_io.h"
-#include "ssd/presets.h"
-#include "workload/snia_synth.h"
 
 namespace ssdcheck::resilience {
 
 namespace {
-
-std::string
-fmt(const char *format, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, format);
-    std::vsnprintf(buf, sizeof buf, format, ap);
-    va_end(ap);
-    return buf;
-}
 
 /** Stable float rendering for canonical(): enough digits to round-trip
  *  every value a scenario file can express. */
@@ -40,28 +26,19 @@ fnum(double v)
     return buf;
 }
 
+/** Parse all of @p s as a T in range (finite for floating point). */
+template <typename T>
 bool
-parseU64(const std::string &s, uint64_t *out)
+parseNum(const std::string &s, T *out)
 {
-    if (s.empty())
+    T v{};
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (s.empty() || ec != std::errc() || end != s.data() + s.size())
         return false;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseF64(const std::string &s, double *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(v))
+            return false;
+    }
     *out = v;
     return true;
 }
@@ -143,7 +120,7 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
 {
     auto fail = [&](int line, const std::string &why) {
         if (err != nullptr)
-            *err = fmt("line %d: %s", line, why.c_str());
+            *err = "line " + std::to_string(line) + ": " + why;
         return false;
     };
 
@@ -177,32 +154,28 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
             return b == std::string::npos ? std::string()
                                           : v.substr(b, e - b + 1);
         };
-        // Single-token numeric values.
-        auto u64 = [&](uint64_t *dst) {
+        // Single-token numeric value, range-checked for *dst's type.
+        auto num = [&](auto *dst) {
             std::string tok;
-            return bool(line >> tok) && parseU64(tok, dst);
-        };
-        auto f64 = [&](double *dst) {
-            std::string tok;
-            return bool(line >> tok) && parseF64(tok, dst);
+            return bool(line >> tok) && parseNum(tok, dst);
         };
         auto durMs = [&](sim::SimDuration *dst) {
             uint64_t ms = 0;
-            if (!u64(&ms))
+            if (!num(&ms))
                 return false;
             *dst = sim::milliseconds(static_cast<int64_t>(ms));
             return true;
         };
         auto durUs = [&](sim::SimDuration *dst) {
             uint64_t us = 0;
-            if (!u64(&us))
+            if (!num(&us))
                 return false;
             *dst = sim::microseconds(static_cast<int64_t>(us));
             return true;
         };
         auto flag = [&](bool *dst) {
             uint64_t v = 0;
-            if (!u64(&v) || v > 1)
+            if (!num(&v) || v > 1)
                 return false;
             *dst = v != 0;
             return true;
@@ -220,13 +193,13 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
             sc.workload = rest();
             good = !sc.workload.empty();
         } else if (key == "scale") {
-            good = f64(&sc.scale);
+            good = num(&sc.scale);
         } else if (key == "seeds") {
             sc.seeds.clear();
             std::string tok;
             while (good && (line >> tok)) {
                 uint64_t s = 0;
-                good = parseU64(tok, &s);
+                good = parseNum(tok, &s);
                 if (good)
                     sc.seeds.push_back(s);
             }
@@ -248,46 +221,44 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
         } else if (key == "faults") {
             good = ssd::faultProfileByName(rest(), &sc.faults);
         } else if (key == "unc-probability") {
-            good = f64(&sc.faults.readUncProbability);
+            good = num(&sc.faults.readUncProbability);
         } else if (key == "unc-hard-fraction") {
-            good = f64(&sc.faults.readUncHardFraction);
+            good = num(&sc.faults.readUncHardFraction);
         } else if (key == "read-retry-max") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.faults.readRetryMax = static_cast<uint32_t>(v);
+            good = num(&sc.faults.readRetryMax);
         } else if (key == "program-fail-probability") {
-            good = f64(&sc.faults.programFailProbability);
+            good = num(&sc.faults.programFailProbability);
         } else if (key == "erase-fail-probability") {
-            good = f64(&sc.faults.eraseFailProbability);
+            good = num(&sc.faults.eraseFailProbability);
         } else if (key == "stall-probability") {
-            good = f64(&sc.faults.stallProbability);
+            good = num(&sc.faults.stallProbability);
         } else if (key == "stall-min-ms") {
             good = durMs(&sc.faults.stallMin);
         } else if (key == "stall-max-ms") {
             good = durMs(&sc.faults.stallMax);
         } else if (key == "drift-after") {
-            good = u64(&sc.faults.driftAfterRequests);
+            good = num(&sc.faults.driftAfterRequests);
         } else if (key == "drift-kind") {
             good = driftKindByName(rest(), &sc.faults.driftKind);
         } else if (key == "burst-enter") {
-            good = f64(&sc.faults.regime.enterBurst);
+            good = num(&sc.faults.regime.enterBurst);
         } else if (key == "burst-exit") {
-            good = f64(&sc.faults.regime.exitBurst);
+            good = num(&sc.faults.regime.exitBurst);
         } else if (key == "burst-unc-factor") {
-            good = f64(&sc.faults.regime.uncFactor);
+            good = num(&sc.faults.regime.uncFactor);
         } else if (key == "burst-stall-factor") {
-            good = f64(&sc.faults.regime.stallFactor);
+            good = num(&sc.faults.regime.stallFactor);
         } else if (key == "phase") {
             ssd::FaultPhase p;
-            good = u64(&p.fromRequest) && u64(&p.toRequest) &&
-                   f64(&p.regime.enterBurst) && f64(&p.regime.exitBurst) &&
-                   f64(&p.regime.uncFactor) && f64(&p.regime.stallFactor);
+            good = num(&p.fromRequest) && num(&p.toRequest) &&
+                   num(&p.regime.enterBurst) && num(&p.regime.exitBurst) &&
+                   num(&p.regime.uncFactor) && num(&p.regime.stallFactor);
             if (good)
                 sc.faults.phases.push_back(p);
         } else if (key == "unc-cluster") {
             ssd::UncCluster c;
-            good = u64(&c.firstPage) && u64(&c.pages) &&
-                   f64(&c.probability);
+            good = num(&c.firstPage) && num(&c.pages) &&
+                   num(&c.probability);
             if (good)
                 sc.faults.uncClusters.push_back(c);
 
@@ -301,37 +272,27 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
         } else if (key == "hedge-delay-us") {
             good = durUs(&sc.policy.hedgeDelay);
         } else if (key == "hedge-budget") {
-            good = f64(&sc.policy.hedgeBudgetFraction);
+            good = num(&sc.policy.hedgeBudgetFraction);
         } else if (key == "breaker-window") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.breakerWindow = static_cast<uint32_t>(v);
+            good = num(&sc.policy.breakerWindow);
         } else if (key == "breaker-threshold") {
-            good = f64(&sc.policy.breakerErrorThreshold);
+            good = num(&sc.policy.breakerErrorThreshold);
         } else if (key == "breaker-min-samples") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.breakerMinSamples = static_cast<uint32_t>(v);
+            good = num(&sc.policy.breakerMinSamples);
         } else if (key == "breaker-cooldown-ms") {
             good = durMs(&sc.policy.breakerCooldown);
         } else if (key == "breaker-halfopen") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.breakerHalfOpenSuccesses = static_cast<uint32_t>(v);
+            good = num(&sc.policy.breakerHalfOpenSuccesses);
         } else if (key == "max-backlog-ms") {
             good = durMs(&sc.policy.maxBacklog);
         } else if (key == "slo-latency-ms") {
             good = durMs(&sc.policy.sloLatencyTarget);
         } else if (key == "slo-error-budget") {
-            good = f64(&sc.policy.sloErrorBudget);
+            good = num(&sc.policy.sloErrorBudget);
         } else if (key == "slo-window") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.sloWindow = static_cast<uint32_t>(v);
+            good = num(&sc.policy.sloWindow);
         } else if (key == "ladder-eval-every") {
-            uint64_t v = 0;
-            good = u64(&v);
-            sc.policy.ladderEvalEvery = static_cast<uint32_t>(v);
+            good = num(&sc.policy.ladderEvalEvery);
         } else if (key == "fail-fast-cooldown-ms") {
             good = durMs(&sc.policy.failFastCooldown);
 
@@ -339,11 +300,11 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
         } else if (key == "assert-p999-ms") {
             good = durMs(&sc.assertP999);
         } else if (key == "assert-min-completed") {
-            good = u64(&sc.assertMinCompleted);
+            good = num(&sc.assertMinCompleted);
         } else if (key == "assert-max-shed") {
-            good = u64(&sc.assertMaxShed);
+            good = num(&sc.assertMaxShed);
         } else if (key == "assert-breaker-opens") {
-            good = u64(&sc.assertBreakerOpens);
+            good = num(&sc.assertBreakerOpens);
         } else if (key == "assert-breaker-recloses") {
             good = flag(&sc.assertBreakerRecloses);
         } else {
@@ -355,8 +316,9 @@ ChaosScenario::parse(const std::string &text, ChaosScenario *out,
 
     if (sc.seeds.empty())
         return fail(lineNo, "no seeds configured");
-    if (sc.scale <= 0)
-        return fail(lineNo, "scale must be positive");
+    const std::string se = recovery::scaleError(sc.scale);
+    if (!se.empty())
+        return fail(lineNo, se);
     const std::string fe = sc.faults.validate();
     if (!fe.empty())
         return fail(lineNo, "fault schedule: " + fe);
@@ -372,123 +334,42 @@ std::unique_ptr<ChaosShard>
 ChaosShard::create(const ChaosScenario &scenario, uint64_t seed,
                    bool forResume, std::string *err)
 {
-    auto fail = [&](const std::string &why) {
-        if (err != nullptr)
-            *err = why;
-        return nullptr;
-    };
-
-    ssd::SsdConfig cfg;
-    if (scenario.device == "nvm") {
-        cfg = ssd::makeNvmBackedSsd();
-    } else if (scenario.device.size() == 1 && scenario.device[0] >= 'A' &&
-               scenario.device[0] <= 'G') {
-        cfg = ssd::makePreset(
-            static_cast<ssd::SsdModel>(scenario.device[0] - 'A'));
-    } else {
-        return fail("unknown device '" + scenario.device + "'");
-    }
-    cfg.faults = scenario.faults;
-    cfg.seed = seed;
-
-    bool workloadKnown = false;
-    workload::SniaWorkload w = workload::SniaWorkload::RwMixed;
-    for (const auto candidate : workload::allSniaWorkloads()) {
-        if (toString(candidate) == scenario.workload) {
-            w = candidate;
-            workloadKnown = true;
-            break;
-        }
-    }
-    if (!workloadKnown)
-        return fail("unknown workload '" + scenario.workload + "'");
+    recovery::RunSpec spec;
+    spec.device = scenario.device;
+    spec.deviceSeed = seed;
+    spec.faults = scenario.faults;
+    spec.workload = scenario.workload;
+    spec.scale = scenario.scale;
+    spec.policy = scenario.policy;
+    // The model rides along only to drive the supervisor.
+    spec.model = scenario.supervisor;
+    spec.supervisor = scenario.supervisor;
+    spec.pacing = scenario.pacing;
+    spec.arrivalPeriod = scenario.arrivalPeriod;
 
     std::unique_ptr<ChaosShard> shard(new ChaosShard());
     shard->scenario_ = scenario;
     shard->seed_ = seed;
     shard->digest_ = kChaosDigestInit;
-    shard->dev_ = std::make_unique<ssd::SsdDevice>(cfg);
-    shard->rdev_ =
-        std::make_unique<blockdev::ResilientDevice>(*shard->dev_);
-    shard->pdev_ = std::make_unique<PolicyDevice>(*shard->rdev_,
-                                                  scenario.policy);
-
-    if (scenario.supervisor) {
-        if (forResume) {
-            shard->check_ =
-                std::make_unique<core::SsdCheck>(core::FeatureSet{});
-        } else {
-            // Same clean-twin diagnosis as the accuracy run: features
-            // come from a faultless replica so the fault budget lands
-            // entirely on the measured shard.
-            ssd::SsdConfig cleanCfg = cfg;
-            cleanCfg.faults = ssd::FaultProfile{};
-            ssd::SsdDevice cleanDev(cleanCfg);
-            core::DiagnosisRunner runner(cleanDev, core::DiagnosisConfig{});
-            const core::FeatureSet fs = runner.extractFeatures();
-            if (!fs.bufferModelUsable())
-                return fail("no usable buffer model for device '" +
-                            scenario.device + "'");
-            shard->check_ = std::make_unique<core::SsdCheck>(fs);
-            shard->t_ = runner.now();
-        }
-        shard->sup_ = std::make_unique<core::HealthSupervisor>(
-            *shard->check_, *shard->pdev_);
-    }
-
-    if (!forResume)
-        shard->dev_->precondition();
-    shard->trace_ = workload::buildSniaTrace(
-        w, shard->dev_->capacityPages(), scenario.scale);
-    shard->t0_ = shard->t_;
+    if (!shard->init(spec, forResume, err))
+        return nullptr;
     return shard;
 }
 
 void
 ChaosShard::step()
 {
-    const blockdev::IoRequest &req = trace_.records()[cursor_].req;
-    const sim::SimTime arrival =
-        t0_ + static_cast<sim::SimDuration>(cursor_) * scenario_.arrivalPeriod;
-    // Open pacing: t_ is the host submit clock — it follows arrivals
-    // even while the device's completion horizon runs ahead (that gap
-    // is what admission control measures). Closed pacing folds the
-    // previous completion into t_ below, so max() waits for it here.
-    t_ = std::max(t_, arrival);
-    if (sup_)
-        t_ = sup_->pump(t_);
-
-    core::Prediction pred{};
-    if (check_) {
-        pred = check_->predict(req, t_);
-        check_->onSubmit(req, t_);
-    }
-    if (sup_)
-        pdev_->observeHealth(sup_->state());
-    // Without a model the last completed latency is the hedge hint: a
-    // crude predictor, but deterministic and monotone in slowness.
-    const sim::SimDuration hint = check_ ? pred.eet : lastLatency_;
-    const blockdev::IoResult res = pdev_->submitHinted(req, t_, hint);
-    if (check_) {
-        const bool actualHl = check_->onComplete(
-            req, pred, t_, res.completeTime, res.status, res.attempts);
-        if (sup_)
-            sup_->onCompletion(req, actualHl, res);
-    }
-
-    digest_ = chaosDigestFold(digest_, cursor_);
-    digest_ = chaosDigestFold(digest_, static_cast<uint64_t>(res.status));
+    const uint64_t i = cursor();
+    const core::HostStep s = RunStack::step();
+    digest_ = chaosDigestFold(digest_, i);
+    digest_ = chaosDigestFold(digest_, static_cast<uint64_t>(s.res.status));
     digest_ = chaosDigestFold(digest_,
-                              static_cast<uint64_t>(res.completeTime.ns()));
-    digest_ = chaosDigestFold(digest_, res.attempts);
-    if (res.ok()) {
+                              static_cast<uint64_t>(s.res.completeTime.ns()));
+    digest_ = chaosDigestFold(digest_, s.res.attempts);
+    if (s.res.ok()) {
         ++completedOk_;
-        lastLatency_ = res.completeTime - t_;
-        lat_.add(lastLatency_);
+        lat_.add(s.res.completeTime - s.submitted);
     }
-    if (scenario_.pacing == Pacing::Closed)
-        t_ = res.completeTime;
-    ++cursor_;
 }
 
 uint64_t
@@ -501,193 +382,58 @@ ChaosShard::configHash() const
 recovery::Snapshot
 ChaosShard::checkpoint() const
 {
-    using recovery::SectionId;
-    using recovery::StateWriter;
-    recovery::Snapshot snap;
-    snap.begin(configHash(), cursor_, t_.ns());
-    {
-        StateWriter w;
-        dev_->saveState(w);
-        snap.addSection(SectionId::Device, w.take());
-    }
-    {
-        StateWriter w;
-        rdev_->saveState(w);
-        snap.addSection(SectionId::Resilient, w.take());
-    }
-    {
-        StateWriter w;
-        pdev_->saveState(w);
-        snap.addSection(SectionId::Resilience, w.take());
-    }
-    if (check_) {
-        StateWriter w;
-        check_->saveState(w);
-        snap.addSection(SectionId::Model, w.take());
-    }
-    if (sup_) {
-        StateWriter w;
-        sup_->saveState(w);
-        snap.addSection(SectionId::Supervisor, w.take());
-    }
-    {
-        StateWriter w;
-        w.u64(digest_);
-        w.u64(completedOk_);
-        w.i64(lastLatency_);
-        w.i64(t0_.ns());
-        w.u64(lat_.count());
-        for (const sim::SimDuration s : lat_.sorted())
-            w.i64(s);
-        snap.addSection(SectionId::Chaos, w.take());
-    }
+    recovery::Snapshot snap = snapshot(configHash());
+    recovery::StateWriter w;
+    w.u64(digest_);
+    w.u64(completedOk_);
+    w.i64(loop_.lastOkLatency);
+    w.i64(origin_.ns());
+    w.u64(lat_.count());
+    for (const sim::SimDuration s : lat_.sorted())
+        w.i64(s);
+    snap.addSection(recovery::SectionId::Chaos, w.take());
     return snap;
 }
 
 recovery::LoadError
 ChaosShard::restore(const recovery::Snapshot &snap, std::string *detail)
 {
-    using recovery::LoadError;
-    using recovery::SectionId;
-    using recovery::StateReader;
-    auto explain = [&](const std::string &why) {
-        if (detail != nullptr)
-            *detail = why;
-    };
     if (snap.configHash() != configHash()) {
-        explain("snapshot was taken under a different chaos scenario "
-                "or seed (this shard: " +
-                scenario_.canonical() + ";seed=" + std::to_string(seed_) +
-                ")");
-        return LoadError::ConfigMismatch;
+        if (detail != nullptr)
+            *detail = "snapshot was taken under a different chaos scenario "
+                      "or seed (this shard: " +
+                      scenario_.canonical() + ";seed=" +
+                      std::to_string(seed_) + ")";
+        return recovery::LoadError::ConfigMismatch;
     }
-    if (snap.requestIndex() > trace_.size()) {
-        explain("snapshot resume point is beyond the end of the trace");
-        return LoadError::Malformed;
-    }
-
-    auto load = [&](SectionId id, const char *name,
-                    auto &&fn) -> LoadError {
-        const std::vector<uint8_t> *payload = snap.section(id);
-        if (payload == nullptr) {
-            explain(std::string("required section '") + name +
-                    "' is missing");
-            return LoadError::MissingSection;
-        }
-        StateReader r(*payload);
-        fn(r);
-        if (!r.ok()) {
-            explain(std::string("section '") + name + "': " + r.error());
-            return LoadError::Malformed;
-        }
-        if (!r.atEnd()) {
-            explain(std::string("section '") + name +
-                    "' has trailing bytes");
-            return LoadError::Malformed;
-        }
-        return LoadError::Ok;
-    };
-
-    LoadError e;
-    e = load(SectionId::Device, "device",
-             [&](StateReader &r) { dev_->loadState(r); });
-    if (e != LoadError::Ok)
+    const recovery::LoadError e = restoreSections(snap, detail);
+    if (e != recovery::LoadError::Ok)
         return e;
-    e = load(SectionId::Resilient, "resilient",
-             [&](StateReader &r) { rdev_->loadState(r); });
-    if (e != LoadError::Ok)
-        return e;
-    e = load(SectionId::Resilience, "resilience",
-             [&](StateReader &r) { pdev_->loadState(r); });
-    if (e != LoadError::Ok)
-        return e;
-    if (check_) {
-        e = load(SectionId::Model, "model",
-                 [&](StateReader &r) { check_->loadState(r); });
-        if (e != LoadError::Ok)
-            return e;
-    }
-    if (sup_) {
-        e = load(SectionId::Supervisor, "supervisor",
-                 [&](StateReader &r) { sup_->loadState(r); });
-        if (e != LoadError::Ok)
-            return e;
-    }
-    e = load(SectionId::Chaos, "chaos", [&](StateReader &r) {
-        digest_ = r.u64();
-        completedOk_ = r.u64();
-        lastLatency_ = r.i64();
-        t0_ = sim::SimTime{r.i64()};
-        const uint64_t n = r.checkCount(r.u64(), sizeof(int64_t));
-        lat_.clear();
-        for (uint64_t i = 0; i < n && r.ok(); ++i)
-            lat_.add(r.i64());
-        if (r.ok() && lat_.count() != completedOk_)
-            r.fail("latency sample count disagrees with completions");
-    });
-    if (e != LoadError::Ok)
-        return e;
-
-    cursor_ = snap.requestIndex();
-    t_ = sim::SimTime{snap.simTimeNs()};
-    return LoadError::Ok;
+    return recovery::loadSection(
+        snap, recovery::SectionId::Chaos, "chaos", detail,
+        [&](recovery::StateReader &r) {
+            digest_ = r.u64();
+            completedOk_ = r.u64();
+            loop_.lastOkLatency = r.i64();
+            origin_ = sim::SimTime{r.i64()};
+            const uint64_t n = r.checkCount(r.u64(), sizeof(int64_t));
+            lat_.clear();
+            for (uint64_t k = 0; k < n && r.ok(); ++k)
+                lat_.add(r.i64());
+            if (r.ok() && lat_.count() != completedOk_)
+                r.fail("latency sample count disagrees with completions");
+        });
 }
 
 std::vector<std::string>
 ChaosShard::checkInvariants() const
 {
-    std::vector<std::string> violations;
-    const PolicyCounters &pc = pdev_->counters();
-    const blockdev::ResilienceCounters &rc = rdev_->counters();
-    const uint64_t probes =
-        sup_ ? sup_->counters().probesIssued : 0;
-
-    if (pdev_->config().enabled) {
-        if (pc.submissions != cursor_ + probes)
-            violations.push_back(
-                fmt("policy saw %" PRIu64 " submissions but cursor "
-                    "%" PRIu64 " + %" PRIu64 " probes were issued",
-                    pc.submissions, cursor_, probes));
-        if (pc.forwarded + pc.shedTotal() != pc.submissions)
-            violations.push_back(
-                fmt("policy forwarded %" PRIu64 " + shed %" PRIu64
-                    " does not sum to %" PRIu64 " submissions",
-                    pc.forwarded, pc.shedTotal(), pc.submissions));
-        if (rc.submissions != pc.forwarded + pc.hedgesIssued)
-            violations.push_back(
-                fmt("resilient path saw %" PRIu64 " submissions but the "
-                    "policy forwarded %" PRIu64 " + %" PRIu64 " hedges",
-                    rc.submissions, pc.forwarded, pc.hedgesIssued));
-        if (pc.hedgeCancelled != pc.hedgesIssued ||
-            pc.hedgeWins > pc.hedgesIssued)
-            violations.push_back("hedge accounting does not pair up "
-                                 "with issued hedges");
-        if (pc.breakerCloses > pc.breakerOpens + pc.breakerReopens)
-            violations.push_back(
-                "breaker closed more often than it opened");
-        if (pdev_->config().deadlineBudget > 0 &&
-            pdev_->maxExchange() > pdev_->config().deadlineBudget)
-            violations.push_back(
-                fmt("observed a %" PRId64 "ns exchange over the %" PRId64
-                    "ns deadline budget",
-                    pdev_->maxExchange(),
-                    pdev_->config().deadlineBudget));
-    } else if (rc.submissions != cursor_ + probes) {
-        violations.push_back(
-            fmt("resilient path saw %" PRIu64 " submissions but cursor "
-                "%" PRIu64 " + %" PRIu64 " probes were issued",
-                rc.submissions, cursor_, probes));
-    }
-    if (dev_->requestsServed() != rc.attemptsIssued)
-        violations.push_back(
-            fmt("device served %" PRIu64 " requests but the resilient "
-                "path issued %" PRIu64 " attempts",
-                dev_->requestsServed(), rc.attemptsIssued));
+    std::vector<std::string> violations = recovery::checkInvariants(*this);
     if (lat_.count() != completedOk_)
         violations.push_back(
-            fmt("recorded %zu ok latencies for %" PRIu64
-                " ok completions",
-                lat_.count(), completedOk_));
+            "recorded " + std::to_string(lat_.count()) +
+            " ok latencies for " + std::to_string(completedOk_) +
+            " ok completions");
     return violations;
 }
 
@@ -757,23 +503,24 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
         // -- SLO assertions -------------------------------------------
         if (r.completedOk < scenario.assertMinCompleted)
             r.failures.push_back(
-                fmt("liveness: %" PRIu64 " ok completions, floor is "
-                    "%" PRIu64,
-                    r.completedOk, scenario.assertMinCompleted));
+                "liveness: " + std::to_string(r.completedOk) +
+                " ok completions, floor is " +
+                std::to_string(scenario.assertMinCompleted));
         if (scenario.assertP999 > 0 && r.p999 > scenario.assertP999)
             r.failures.push_back(
-                fmt("tail latency: p99.9 %" PRId64 "ns over the %" PRId64
-                    "ns bound",
-                    r.p999, scenario.assertP999));
+                "tail latency: p99.9 " + std::to_string(r.p999) +
+                "ns over the " + std::to_string(scenario.assertP999) +
+                "ns bound");
         if (r.shed > scenario.assertMaxShed)
             r.failures.push_back(
-                fmt("shed %" PRIu64 " requests, ceiling is %" PRIu64,
-                    r.shed, scenario.assertMaxShed));
+                "shed " + std::to_string(r.shed) +
+                " requests, ceiling is " +
+                std::to_string(scenario.assertMaxShed));
         if (r.breakerOpens < scenario.assertBreakerOpens)
             r.failures.push_back(
-                fmt("breaker opened %" PRIu64 " times, expected at least "
-                    "%" PRIu64,
-                    r.breakerOpens, scenario.assertBreakerOpens));
+                "breaker opened " + std::to_string(r.breakerOpens) +
+                " times, expected at least " +
+                std::to_string(scenario.assertBreakerOpens));
         if (scenario.assertBreakerRecloses && r.breakerCloses == 0)
             r.failures.push_back(
                 "breaker never recovered through the HalfOpen probe "

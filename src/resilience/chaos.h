@@ -24,14 +24,10 @@
 #include <string>
 #include <vector>
 
-#include "blockdev/resilient_device.h"
-#include "core/health_supervisor.h"
-#include "core/ssdcheck.h"
+#include "recovery/run_state.h"
 #include "recovery/snapshot.h"
 #include "resilience/policy.h"
-#include "ssd/ssd_device.h"
 #include "stats/latency_recorder.h"
-#include "workload/trace.h"
 
 namespace ssdcheck::obs {
 class TelemetryHub;
@@ -40,11 +36,7 @@ class TelemetryHub;
 namespace ssdcheck::resilience {
 
 /** How the host clock advances between requests. */
-enum class Pacing : uint8_t
-{
-    Open = 0,   ///< Fixed arrival period; queues can build (overload).
-    Closed = 1, ///< Next request waits for the previous completion.
-};
+using Pacing = recovery::Pacing;
 
 /** One parsed chaos scenario: faults + workload + policy + SLOs. */
 struct ChaosScenario
@@ -81,8 +73,13 @@ struct ChaosScenario
                       std::string *err);
 };
 
-/** One seed's replay of a scenario (checkpointable, deterministic). */
-class ChaosShard
+/**
+ * One seed's replay of a scenario: the run stack built from
+ * (scenario, seed) — always with a policy layer, with the model only
+ * when the supervisor rides along — plus the outcome digest, the ok
+ * latencies and its own Chaos snapshot section.
+ */
+class ChaosShard : private recovery::RunStack
 {
   public:
     /**
@@ -95,24 +92,19 @@ class ChaosShard
     create(const ChaosScenario &scenario, uint64_t seed, bool forResume,
            std::string *err);
 
-    bool done() const { return cursor_ >= trace_.size(); }
+    using RunStack::cursor;
+    using RunStack::done;
+    using RunStack::now;
+    using RunStack::trace;
+
+    /** Replay one request and fold its outcome into the digest. */
     void step();
-    uint64_t cursor() const { return cursor_; }
-    sim::SimTime now() const { return t_; }
-    uint64_t seed() const { return seed_; }
 
     /** Running outcome digest (status/time/attempts per request). */
     uint64_t digest() const { return digest_; }
     uint64_t completedOk() const { return completedOk_; }
     const stats::LatencyRecorder &latencies() const { return lat_; }
     const PolicyDevice &policy() const { return *pdev_; }
-    const blockdev::ResilientDevice &resilient() const { return *rdev_; }
-    const ssd::SsdDevice &device() const { return *dev_; }
-    const workload::Trace &trace() const { return trace_; }
-    const core::HealthSupervisor *supervisorPtr() const
-    {
-        return sup_.get();
-    }
 
     /** Snapshot identity hash for (scenario, seed). */
     uint64_t configHash() const;
@@ -125,11 +117,8 @@ class ChaosShard
     [[nodiscard]] recovery::LoadError
     restore(const recovery::Snapshot &snap, std::string *detail);
 
-    /**
-     * Cross-layer counter conservation for the shard stack (the
-     * chaos-side analogue of recovery::checkInvariants). Empty when
-     * every identity holds.
-     */
+    /** recovery::checkInvariants over the shard stack, plus the
+     *  shard's own latency bookkeeping. Empty when all hold. */
     std::vector<std::string> checkInvariants() const;
 
   private:
@@ -137,18 +126,8 @@ class ChaosShard
 
     ChaosScenario scenario_;
     uint64_t seed_ = 0;
-    std::unique_ptr<ssd::SsdDevice> dev_;
-    std::unique_ptr<blockdev::ResilientDevice> rdev_;
-    std::unique_ptr<PolicyDevice> pdev_;
-    std::unique_ptr<core::SsdCheck> check_;
-    std::unique_ptr<core::HealthSupervisor> sup_;
-    workload::Trace trace_;
-    uint64_t cursor_ = 0;
-    sim::SimTime t_;
-    sim::SimTime t0_; ///< Arrival-clock origin (post-diagnosis).
     uint64_t digest_ = 0;
     uint64_t completedOk_ = 0;
-    sim::SimDuration lastLatency_ = 0; ///< Hedge hint without a model.
     stats::LatencyRecorder lat_;
 };
 

@@ -181,15 +181,12 @@ PolicyDevice::setLadder(uint8_t level, sim::SimTime now)
 }
 
 void
-PolicyDevice::observeHealth(core::HealthState s)
+PolicyDevice::trustForecasts(bool trusted)
 {
     // A distrusted model means distrusted predictions: stop hedging on
     // them. Anything stronger (deferring writes) would starve the
     // probe I/O re-diagnosis needs to recover the model.
-    const bool distrusted = s == core::HealthState::Degraded ||
-                            s == core::HealthState::Rediagnosing ||
-                            s == core::HealthState::Disabled;
-    healthFloor_ = distrusted ? kHedgingOff : kNormal;
+    healthFloor_ = trusted ? kNormal : kHedgingOff;
     if (ladder_ < healthFloor_)
         ladder_ = healthFloor_; // Takes effect immediately, silently.
 }

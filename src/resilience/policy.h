@@ -196,15 +196,20 @@ class PolicyDevice : public blockdev::BlockDevice
      */
     [[nodiscard]] blockdev::IoResult
     submitHinted(const blockdev::IoRequest &req, sim::SimTime now,
-                 sim::SimDuration predictedLatency);
+                 sim::SimDuration predictedLatency) override;
 
     /**
-     * Feed the supervisor's health verdict: Degraded, Rediagnosing
-     * and Disabled floor the ladder at HedgingOff (the model's
-     * predictions are not trustworthy enough to hedge on), without
-     * blocking the probe writes re-diagnosis needs.
+     * Distrusted forecasts floor the ladder at HedgingOff (they are
+     * not good enough to hedge on), without blocking the probe
+     * writes re-diagnosis needs.
      */
-    void observeHealth(core::HealthState s);
+    void trustForecasts(bool trusted) override;
+
+    /** trustForecasts() with the supervisor's verdict on @p s. */
+    void observeHealth(core::HealthState s)
+    {
+        trustForecasts(core::forecastsTrusted(s));
+    }
 
     const ResiliencePolicy &config() const { return cfg_; }
     const PolicyCounters &counters() const { return counters_; }

@@ -219,4 +219,20 @@ makeNvmBackedSsd(uint64_t seedSalt)
     return c;
 }
 
+bool
+presetByName(const std::string &name, SsdConfig *out)
+{
+    if (name == "nvm") {
+        *out = makeNvmBackedSsd();
+        return true;
+    }
+    for (const SsdModel m : allModels()) {
+        if (toString(m) == name) {
+            *out = makePreset(m);
+            return true;
+        }
+    }
+    return false;
+}
+
 } // namespace ssdcheck::ssd

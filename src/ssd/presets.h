@@ -71,5 +71,11 @@ SsdConfig makePrototype(PrototypeVariant v, uint64_t seedSalt = 0);
  */
 SsdConfig makeNvmBackedSsd(uint64_t seedSalt = 0);
 
+/**
+ * Look a device up by name: "A".."G" (the Table-I presets) or "nvm".
+ * @return true and fill @p out when the name is known.
+ */
+bool presetByName(const std::string &name, SsdConfig *out);
+
 } // namespace ssdcheck::ssd
 

@@ -9,7 +9,8 @@ HybridTier::HybridTier(ssd::SsdDevice &ssd, nvm::NvmDevice &nvm,
                        core::SsdCheck *check, HybridMode mode,
                        HybridConfig cfg)
     : ssd_(ssd), nvm_(nvm), check_(check), mode_(mode), cfg_(cfg),
-      rng_(cfg.seed), nextDrain_(cfg.drainPeriod)
+      rng_(cfg.seed), nextDrain_(cfg.drainPeriod),
+      ssdLoop_(ssd, check, nullptr, obs::Sink{})
 {
     assert(mode != HybridMode::HybridPas || check != nullptr);
     assert(cfg_.bufferWeight >= 0.0 && cfg_.bufferWeight <= 1.0);
@@ -24,17 +25,9 @@ HybridTier::name() const
 }
 
 blockdev::IoResult
-HybridTier::ssdWrite(const blockdev::IoRequest &req, sim::SimTime now)
+HybridTier::ssdSubmit(const blockdev::IoRequest &req, sim::SimTime now)
 {
-    core::Prediction pred;
-    if (check_ != nullptr) {
-        pred = check_->predict(req, now);
-        check_->onSubmit(req, now);
-    }
-    const auto res = ssd_.submit(req, now);
-    if (check_ != nullptr)
-        check_->onComplete(req, pred, now, res.completeTime);
-    return res;
+    return ssdLoop_.issue(req, now).res;
 }
 
 void
@@ -51,8 +44,8 @@ HybridTier::drainUpTo(sim::SimTime now)
         const auto pages = nvm_.takeDirty(cfg_.drainBatchPages);
         sim::SimTime batchDone = nextDrain_;
         for (const uint64_t page : pages) {
-            const auto res = ssdWrite(blockdev::makeWrite4k(page),
-                                      nextDrain_);
+            const auto res = ssdSubmit(blockdev::makeWrite4k(page),
+                                       nextDrain_);
             batchDone = std::max(batchDone, res.completeTime);
         }
         // The background thread is closed-loop: it waits for its
@@ -72,15 +65,7 @@ HybridTier::submit(const blockdev::IoRequest &req, sim::SimTime now)
         if (nvm_.holds(req.firstPage()))
             return nvm_.submit(req, now);
         // Keep the prediction model fed with the reads it does see.
-        core::Prediction pred;
-        if (check_ != nullptr) {
-            pred = check_->predict(req, now);
-            check_->onSubmit(req, now);
-        }
-        const auto res = ssd_.submit(req, now);
-        if (check_ != nullptr)
-            check_->onComplete(req, pred, now, res.completeTime);
-        return res;
+        return ssdSubmit(req, now);
     }
     if (req.type == blockdev::IoType::Trim)
         return ssd_.submit(req, now);
@@ -106,7 +91,7 @@ HybridTier::submit(const blockdev::IoRequest &req, sim::SimTime now)
     // never be drained over it.
     for (uint32_t p = 0; p < req.pages(); ++p)
         nvm_.invalidate(req.firstPage() + p);
-    return ssdWrite(req, now);
+    return ssdSubmit(req, now);
 }
 
 void

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "blockdev/block_device.h"
+#include "core/accuracy.h"
 #include "core/ssdcheck.h"
 #include "nvm/nvm_device.h"
 #include "sim/rng.h"
@@ -90,9 +91,10 @@ class HybridTier : public blockdev::BlockDevice
     /** Run background drain ticks scheduled before @p now. */
     void drainUpTo(sim::SimTime now);
 
-    /** Submit a write to the SSD, keeping the model in sync. */
-    blockdev::IoResult ssdWrite(const blockdev::IoRequest &req,
-                                sim::SimTime now);
+    /** Submit a request to the SSD through the host loop, keeping the
+     *  model in sync. */
+    blockdev::IoResult ssdSubmit(const blockdev::IoRequest &req,
+                                 sim::SimTime now);
 
     ssd::SsdDevice &ssd_;
     nvm::NvmDevice &nvm_;
@@ -101,6 +103,7 @@ class HybridTier : public blockdev::BlockDevice
     HybridConfig cfg_;
     sim::Rng rng_;
     sim::SimTime nextDrain_;
+    core::HostLoop ssdLoop_; ///< Model-fed SSD path (no supervisor/sink).
     uint64_t ssdDirectWrites_ = 0;
     uint64_t backpressureWrites_ = 0;
 };

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <queue>
 
+#include "core/accuracy.h"
+
 namespace ssdcheck::usecases {
 
 double
@@ -137,6 +139,7 @@ runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
     // Completion times of requests currently at the device.
     std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
                         std::greater<>> inflight;
+    core::HostLoop loop(dev, check, supervisor, obs::Sink{});
 
     while (next < records.size() || !sched.empty()) {
         if (sched.empty()) {
@@ -164,23 +167,12 @@ runScheduled(blockdev::BlockDevice &dev, Scheduler &sched,
             continue; // new arrivals may have landed meanwhile
         }
 
-        if (supervisor != nullptr)
-            t = supervisor->pump(t);
+        // The supervisor's probes go first: the dispatch decision sees
+        // the clock after them.
+        t = loop.pump(t);
         const QueuedRequest qr = sched.dequeue(t);
-        core::Prediction pred;
-        if (check != nullptr) {
-            pred = check->predict(qr.req, t);
-            check->onSubmit(qr.req, t);
-        }
-        const auto res = dev.submit(qr.req, t);
+        const blockdev::IoResult res = loop.issue(qr.req, t).res;
         inflight.push(res.completeTime);
-        if (check != nullptr) {
-            const bool actualHl =
-                check->onComplete(qr.req, pred, t, res.completeTime,
-                                  res.status, res.attempts);
-            if (supervisor != nullptr)
-                supervisor->onCompletion(qr.req, actualHl, res);
-        }
         // Latency includes queueing: completion minus arrival.
         record(out.stream, qr.req, t, qr.arrival, res);
         out.stream.endTime = std::max(out.stream.endTime, res.completeTime);

@@ -126,6 +126,25 @@ TEST(ChaosScenarioTest, ParseRejectsMalformedInput)
     EXPECT_NE(err.find("policy"), std::string::npos);
 }
 
+TEST(ChaosScenarioTest, ParseRejectsNonFiniteAndOutOfRangeNumbers)
+{
+    // Parsing only: none of these scenarios is ever run. A NaN scale
+    // used to pass both the number parse and the positivity check and
+    // then exhaust memory synthesizing the trace.
+    for (const char *line :
+         {"scale nan", "scale inf", "scale -inf", "scale 0", "scale 1.5",
+          "burst-unc-factor nan", "stall-probability inf",
+          "breaker-window 4294967296", "seeds 1 -1", "drift-after 1x"}) {
+        ChaosScenario sc;
+        std::string err;
+        EXPECT_FALSE(ChaosScenario::parse(std::string("seeds 1\n") + line +
+                                              "\n",
+                                          &sc, &err))
+            << line;
+        EXPECT_NE(err.find("line 2"), std::string::npos) << line << ": " << err;
+    }
+}
+
 TEST(ChaosScenarioTest, CanonicalReflectsCorrelatedFaultSchedule)
 {
     ChaosScenario a = smallScenario();

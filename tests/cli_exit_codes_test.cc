@@ -22,12 +22,14 @@ namespace {
 
 namespace cli = ssdcheck::cli;
 
-/** Run the real binary; returns its exit code, captures stdout+stderr. */
+/** Run the real binary; returns its exit code, captures stdout+stderr.
+ *  @p shellPrefix runs in the same shell first (e.g. a ulimit). */
 int
-runCli(const std::string &args, std::string *out)
+runCli(const std::string &args, std::string *out,
+       const std::string &shellPrefix = "")
 {
-    const std::string cmd =
-        std::string(SSDCHECK_CLI_BIN) + " " + args + " 2>&1";
+    const std::string cmd = shellPrefix + std::string(SSDCHECK_CLI_BIN) +
+                            " " + args + " 2>&1";
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     if (pipe == nullptr)
@@ -89,6 +91,51 @@ TEST(CliExitCodes, BadArgumentsExitBadArgs)
     EXPECT_EQ(runCli("chaos --scenario /nonexistent.chaos", &out),
               cli::kBadArgs)
         << out;
+}
+
+TEST(CliExitCodes, MalformedNumericFlagsExitBadArgs)
+{
+    // These used to abort on an uncaught std::invalid_argument or
+    // out_of_range (rc 134), or silently wrap (--listen 70000).
+    for (const char *args :
+         {"bench --jobs abc", "run --scale abc", "accuracy --scale x",
+          "run --checkpoint-every -1", "trace-stats --top 1x",
+          "run --listen 70000", "chaos --scenario x.chaos --jobs -2",
+          "accuracy --timeline-ms",
+          "synth --workload Build --out /dev/null --span 1e3"}) {
+        std::string out;
+        EXPECT_EQ(runCli(args, &out), cli::kBadArgs) << args << "\n" << out;
+        EXPECT_NE(out.find("bad value for --"), std::string::npos)
+            << args << "\n" << out;
+    }
+}
+
+TEST(CliExitCodes, NonFiniteOrOutOfRangeScaleExitsBadArgs)
+{
+    // Only the rejection path may run: the address-space cap turns a
+    // regression into a quick allocation failure instead of letting an
+    // unchecked scale exhaust the machine's memory.
+    const std::string cap = "ulimit -v 4000000; ";
+    for (const char *args :
+         {"run --scale nan", "run --scale inf", "accuracy --scale -inf",
+          "trace --scale nan", "bench --scale nan", "run --scale 0",
+          "run --scale 2", "bench --scale 0",
+          "synth --workload Build --out /dev/null --scale 2"}) {
+        std::string out;
+        EXPECT_EQ(runCli(args, &out, cap), cli::kBadArgs)
+            << args << "\n" << out;
+    }
+    const std::string path =
+        testing::TempDir() + "/cli_exit_codes_nan_scale.chaos";
+    {
+        std::ofstream f(path);
+        f << "seeds 1\nscale nan\n";
+    }
+    std::string out;
+    EXPECT_EQ(runCli("chaos --scenario " + path, &out, cap), cli::kBadArgs)
+        << out;
+    EXPECT_NE(out.find("scale"), std::string::npos) << out;
+    std::remove(path.c_str());
 }
 
 TEST(CliExitCodes, MalformedChaosScenarioExitsBadArgs)

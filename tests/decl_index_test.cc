@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "lint/decl_index.h"
@@ -24,18 +26,19 @@ namespace {
 lint::SourceFile
 parseSource(const std::string &content, const std::string &relPath)
 {
-    static int counter = 0;
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / "ssdcheck_decl_index";
+    // A directory of this test process's own: `ctest -j` runs every
+    // test as its own process, and in a shared directory two of them
+    // would overwrite each other's files.
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         ("ssdcheck_decl_index_" + std::to_string(getpid()));
     fs::create_directories(dir);
-    const fs::path file =
-        dir / (std::to_string(counter++) + "_" +
-               fs::path(relPath).filename().string());
+    const fs::path file = dir / fs::path(relPath).filename();
     std::ofstream(file) << content;
     std::string err;
     lint::SourceFile f =
         lint::loadSourceFile(file.string(), relPath, &err);
     EXPECT_TRUE(err.empty()) << err;
+    fs::remove_all(dir);
     return f;
 }
 

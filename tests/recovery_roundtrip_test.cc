@@ -9,7 +9,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -229,6 +231,76 @@ TEST(RecoveryRoundtripTest, SupervisorSectionRejectedWithoutSupervisor)
     EXPECT_EQ(resumed->restore(snap, &detail, /*forceConfig=*/true),
               LoadError::Malformed);
     EXPECT_NE(detail.find("supervisor"), std::string::npos);
+}
+
+TEST(RunStackTest, ScaleCheckRejectsNonFiniteAndOutOfRange)
+{
+    // The check alone: a stack is never built on a non-finite scale.
+    for (const double bad :
+         {std::nan(""), std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(), 0.0, -0.5, 1.5})
+        EXPECT_FALSE(scaleError(bad).empty()) << bad;
+    EXPECT_TRUE(scaleError(1.0).empty());
+    EXPECT_TRUE(scaleError(0.002).empty());
+
+    RunParams p = propParams();
+    p.scale = 1.5;
+    std::string err;
+    EXPECT_EQ(CheckpointableRun::create(p, false, &err), nullptr);
+    EXPECT_NE(err.find("scale"), std::string::npos) << err;
+}
+
+TEST(RunStackTest, SupervisorWithoutModelIsASpecError)
+{
+    RunSpec spec;
+    spec.scale = 0.002;
+    spec.model = false;
+    spec.supervisor = true;
+    std::string err;
+    EXPECT_EQ(RunStack::build(spec, false, &err), nullptr);
+    EXPECT_NE(err.find("model"), std::string::npos) << err;
+}
+
+TEST(RunStackTest, ModelFreeOpenLoopStackResumesBitIdentically)
+{
+    // The chaos-shard shape: no model, a (disabled) policy layer, open
+    // arrivals. The hedge hint is then the last ok latency, and the
+    // invariant check must not expect recall counters.
+    RunSpec spec;
+    spec.device = "C";
+    spec.deviceSeed = 7;
+    ssd::faultProfileByName("storms", &spec.faults);
+    spec.scale = 0.002;
+    spec.policy = resilience::ResiliencePolicy{};
+    spec.model = false;
+    spec.pacing = Pacing::Open;
+    spec.arrivalPeriod = sim::microseconds(80);
+    std::string err;
+    auto golden = RunStack::build(spec, false, &err);
+    ASSERT_NE(golden, nullptr) << err;
+    auto first = RunStack::build(spec, false, &err);
+    ASSERT_NE(first, nullptr) << err;
+    while (first->cursor() < golden->trace().size() / 2)
+        first->step();
+    const Snapshot snap = first->snapshot(42);
+    EXPECT_EQ(snap.section(SectionId::Model), nullptr);
+    EXPECT_EQ(snap.section(SectionId::Accuracy), nullptr);
+
+    auto resumed = RunStack::build(spec, true, &err);
+    ASSERT_NE(resumed, nullptr) << err;
+    std::string detail;
+    ASSERT_EQ(resumed->restoreSections(snap, &detail), LoadError::Ok)
+        << detail;
+    while (!golden->done())
+        golden->step();
+    while (!resumed->done())
+        resumed->step();
+    EXPECT_EQ(resumed->snapshot(42).serialize(),
+              golden->snapshot(42).serialize());
+    EXPECT_EQ(resumed->accuracy().nlTotal + resumed->accuracy().hlTotal, 0u);
+    const auto violations = checkInvariants(*resumed);
+    EXPECT_TRUE(violations.empty())
+        << (violations.empty() ? "" : violations.front());
 }
 
 } // namespace

@@ -46,47 +46,22 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "obs/exporter/http_server.h"
 #include "recovery/invariants.h"
 #include "recovery/run_state.h"
 #include "recovery/snapshot.h"
 
 using namespace ssdcheck;
+using cli::Args;
+using cli::fileExists;
+using cli::numFlag;
 
 namespace {
-
-struct Args
-{
-    std::map<std::string, std::string> options;
-    bool has(const std::string &k) const { return options.count(k) > 0; }
-    std::string get(const std::string &k, const std::string &dflt) const
-    {
-        const auto it = options.find(k);
-        return it == options.end() ? dflt : it->second;
-    }
-};
-
-Args
-parse(int argc, char **argv)
-{
-    Args a;
-    for (int i = 1; i < argc; ++i) {
-        std::string key = argv[i];
-        if (key.rfind("--", 0) != 0)
-            continue;
-        key = key.substr(2);
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0)
-            a.options[key] = argv[++i];
-        else
-            a.options[key] = "";
-    }
-    return a;
-}
 
 /** Directory of this executable (to find the sibling ssdcheck CLI). */
 std::string
@@ -100,46 +75,6 @@ selfDir()
     std::string path(buf);
     const size_t slash = path.rfind('/');
     return slash == std::string::npos ? "." : path.substr(0, slash);
-}
-
-bool
-fileExists(const std::string &path)
-{
-    return std::ifstream(path).good();
-}
-
-/** Spawn `ssdcheck run` with @p args; return the raw waitpid status. */
-int
-spawnRun(const std::string &cli, const std::vector<std::string> &args)
-{
-    std::vector<std::string> full = {cli, "run"};
-    full.insert(full.end(), args.begin(), args.end());
-    const pid_t pid = fork();
-    if (pid < 0) {
-        std::perror("fork");
-        return -1;
-    }
-    if (pid == 0) {
-        // Child: silence the per-run report; keep stderr for errors.
-        if (FILE *sink = std::fopen("/dev/null", "w")) {
-            dup2(fileno(sink), STDOUT_FILENO);
-            std::fclose(sink);
-        }
-        std::vector<char *> argv;
-        argv.reserve(full.size() + 1);
-        for (std::string &s : full)
-            argv.push_back(s.data());
-        argv.push_back(nullptr);
-        execv(cli.c_str(), argv.data());
-        std::perror("execv");
-        _exit(127);
-    }
-    int status = 0;
-    if (waitpid(pid, &status, 0) < 0) {
-        std::perror("waitpid");
-        return -1;
-    }
-    return status;
 }
 
 /** Load + parse + restore + invariant-check one checkpoint file.
@@ -230,6 +165,22 @@ spawnRunAsync(const std::string &cli,
         _exit(127);
     }
     return pid;
+}
+
+/** Spawn `ssdcheck run` with @p args, its report discarded; return
+ *  the raw waitpid status. */
+int
+spawnRun(const std::string &cli, const std::vector<std::string> &args)
+{
+    const pid_t pid = spawnRunAsync(cli, args, "/dev/null");
+    if (pid < 0)
+        return -1;
+    int status = 0;
+    if (waitpid(pid, &status, 0) < 0) {
+        std::perror("waitpid");
+        return -1;
+    }
+    return status;
 }
 
 /** Poll @p logPath for the "telemetry: http://127.0.0.1:PORT" line the
@@ -345,12 +296,9 @@ probeTelemetry(const std::string &cli, const std::string &dir)
     return ok;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+soak(const Args &args)
 {
-    const Args args = parse(argc, argv);
     if (args.has("help")) {
         std::printf(
             "ssdcheck_soak [--cli PATH] [--cycles N] [--device X]\n"
@@ -365,16 +313,15 @@ main(int argc, char **argv)
     params.device = args.get("device", "A");
     params.faults = args.get("faults", "hostile");
     params.workload = args.get("workload", "RW Mixed");
-    params.scale = std::stod(args.get("scale", "0.02"));
+    params.scale = numFlag(args, "scale", 0.02);
     params.supervisor = args.has("supervisor");
-    params.timelineMs = std::stoll(args.get("timeline-ms", "0"));
+    params.timelineMs = numFlag<int64_t>(args, "timeline-ms", 0);
 
     const std::string cli = args.get("cli", selfDir() + "/ssdcheck");
-    const uint64_t cycles = std::stoull(args.get("cycles", "50"));
-    const uint64_t ckptEvery =
-        std::stoull(args.get("checkpoint-every", "64"));
-    const uint64_t tornEvery = std::stoull(args.get("torn-every", "5"));
-    const uint64_t seed = std::stoull(args.get("seed", "1"));
+    const uint64_t cycles = numFlag<uint64_t>(args, "cycles", 50);
+    const uint64_t ckptEvery = numFlag<uint64_t>(args, "checkpoint-every", 64);
+    const uint64_t tornEvery = numFlag<uint64_t>(args, "torn-every", 5);
+    const uint64_t seed = numFlag<uint64_t>(args, "seed", 1);
     const std::string dir = args.get("dir", "soak-work");
     if (!fileExists(cli)) {
         std::fprintf(stderr, "cannot find ssdcheck CLI at %s "
@@ -557,4 +504,17 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(completions),
                 goldenBytes.size());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return soak(cli::parseArgs(argc, argv, false));
+    } catch (const cli::BadFlag &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

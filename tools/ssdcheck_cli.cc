@@ -1,87 +1,31 @@
 /**
  * @file
  * ssdcheck — command-line front end to the framework (the paper's
- * "software release" artifact).
+ * "software release" artifact). `ssdcheck help` prints every flag and
+ * the exit-code table; README.md walks through each command.
  *
- *   ssdcheck fingerprint [--device A..G|nvm | --all]
- *       Run the §III-B diagnosis snippets and print the device's
- *       internal features (Table-I style).
+ *   fingerprint    §III-B diagnosis: a device's Table-I features.
+ *   accuracy       diagnose, model, replay at QD1, report NL/HL recall
+ *                  (--supervisor repairs drift online; exit 3 below
+ *                  --min-recovered-accuracy).
+ *   trace          the accuracy replay with the full obs sink: Chrome
+ *                  JSON, trace.bin, metrics and the misprediction audit.
+ *   run            the accuracy replay as a checkpointable run:
+ *                  --checkpoint-every/--resume (exit 5 corrupt, 6
+ *                  mismatch), soak hooks, live telemetry (--listen),
+ *                  --profile-stages, --check-invariants (exit 7).
+ *   chaos          adversarial fault campaign from a scenario file,
+ *                  sharded over --jobs (exit 8 on SLO or --verify miss).
+ *   bench          the Fig. 11 grid over --jobs threads, BENCH_grid.json
+ *                  and the --baseline perf gate (exit 4).
+ *   synth, replay  write a synthetic trace; replay one at QD1.
+ *   trace-convert, trace-stats   offline trace.bin tools.
+ *   faults         list the fault-injection profiles.
  *
- *   ssdcheck accuracy --device X [--workload NAME] [--scale F]
- *       Diagnose, build the runtime model, replay a workload in
- *       predict-before-issue mode and report NL/HL accuracy. With
- *       --supervisor the health supervisor watches the model, repairs
- *       drift online and prints its report; --min-recovered-accuracy F
- *       makes the command exit 3 when the run ends below F rolling HL
- *       accuracy or with the model disabled (CI soak-test hook).
- *
- *   ssdcheck synth --workload NAME --out FILE [--scale F] [--span P]
- *       Generate a synthetic trace (Table-II equivalents) to a file.
- *
- *   ssdcheck replay --device X --trace FILE
- *       Replay a saved trace and print the latency distribution.
- *
- *   ssdcheck trace --device X [--workload NAME] [--scale F]
- *                  [--out FILE] [--binary-out FILE] [--metrics-out FILE]
- *                  [--audit-out FILE] [--timeline-ms N] [--supervisor]
- *                  [--faults PROFILE]
- *       Run the accuracy replay with full observability attached:
- *       write a Chrome trace-event JSON (open in chrome://tracing or
- *       Perfetto), a metrics-registry snapshot and a misprediction
- *       audit JSONL, then print the audit report. --binary-out also
- *       writes the compact trace.bin form (obs/trace_binary.h).
- *
- *   ssdcheck trace-convert [--in trace.bin] [--out trace.json]
- *       Offline converter: turn a binary trace into Chrome JSON,
- *       byte-identical to what `ssdcheck trace` itself would have
- *       written for that run.
- *
- *   ssdcheck trace-stats [--in trace.bin] [--format text|json] [--top N]
- *       Offline analytics over a recorded binary trace: per-volume GC
- *       duty cycle, stall count/duration histogram, write-buffer hit
- *       rate, and the top-N longest host requests.
- *
- *   ssdcheck run --device X [--workload NAME] [--scale F] ...
- *       The accuracy replay as a checkpointable run: with
- *       --checkpoint-every N --checkpoint-out F a complete snapshot of
- *       the deterministic simulation state is atomically written every
- *       N requests; --resume F continues a run bit-exactly from such a
- *       snapshot (exit 5 on a corrupt snapshot, 6 on a config
- *       mismatch). --kill-after-requests / --kill-in-checkpoint are
- *       the chaos hooks the soak harness (tools/soak) drives; see
- *       DESIGN.md "Crash consistency & state serialization".
- *       --listen PORT serves live telemetry (GET /metrics /runz
- *       /healthz) from immutable snapshots published every
- *       --publish-every requests and at checkpoints — attaching it is
- *       bit-identical to running without. --profile-stages attributes
- *       wall-ns/request to simulator stages (wb gc nand model trace
- *       policy) and prints the attribution table.
- *
- *   ssdcheck faults
- *       List the fault-injection profiles.
- *
- *   ssdcheck chaos --scenario FILE [--jobs N] [--verify]
- *       Run an adversarial fault campaign: parse a chaos scenario
- *       (correlated fault phases + resilience policy + SLO
- *       assertions, see examples/chaos/), replay it once per seed
- *       sharded over N threads, and fail (exit 8) if any shard
- *       violates its SLOs or, with --verify, if a --jobs 1 rerun does
- *       not reproduce the campaign digest bit-for-bit.
- *
- *   ssdcheck bench [--jobs N] [--scale F] [--seeds K] [--out FILE]
- *                  [--baseline FILE] [--max-regress F]
- *       Run the Fig. 11 experiment grid sharded over N worker threads
- *       (default: all cores), write the BENCH_grid.json wall-clock
- *       report and, when --baseline is given, exit 4 if aggregate
- *       simulated-IOs/sec dropped more than --max-regress (default
- *       0.30) below the baseline file's value — the CI perf gate.
- *
- * Any device-taking command accepts --faults <profile> to run the
- * device with injected faults behind the host-side resilient I/O
- * path; error counters are reported after the run.
- *
- * Devices are the simulated presets; on a real system the same code
- * would sit behind an ioctl-capable block device.
+ * `accuracy`, `trace`, `run` and the `bench` stage pass build their
+ * host stack through recovery::RunStack. Devices are the simulated
+ * presets; on a real system the same code would sit behind an
+ * ioctl-capable block device.
  */
 #include <chrono>
 #include <csignal>
@@ -89,18 +33,16 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "blockdev/resilient_device.h"
+#include "cli_args.h"
 #include "exit_codes.h"
 #include "resilience/chaos.h"
 #include "core/accuracy.h"
 #include "core/diagnosis.h"
-#include "core/health_supervisor.h"
-#include "core/ssdcheck.h"
 #include "obs/exporter/http_server.h"
 #include "obs/exporter/telemetry.h"
 #include "obs/sink.h"
@@ -113,79 +55,64 @@
 #include "recovery/invariants.h"
 #include "recovery/run_state.h"
 #include "recovery/snapshot.h"
-#include "ssd/fault_injector.h"
 #include "ssd/presets.h"
-#include "ssd/ssd_device.h"
 #include "stats/table_printer.h"
 #include "usecases/runner.h"
 #include "workload/snia_synth.h"
 
 using namespace ssdcheck;
+using cli::Args;
+using cli::numFlag;
 
 namespace {
 
-/** argv parsed into --key value pairs + positionals. */
-struct Args
+/** The host-stack flags `accuracy`, `trace` and `run` share. */
+recovery::RunParams
+runParams(const Args &args)
 {
-    std::string command;
-    std::map<std::string, std::string> options;
-    bool has(const std::string &k) const { return options.count(k) > 0; }
-    std::string get(const std::string &k, const std::string &dflt) const
-    {
-        const auto it = options.find(k);
-        return it == options.end() ? dflt : it->second;
-    }
-};
-
-Args
-parse(int argc, char **argv)
-{
-    Args a;
-    if (argc >= 2)
-        a.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        std::string key = argv[i];
-        if (key.rfind("--", 0) != 0)
-            continue;
-        key = key.substr(2);
-        // Both spellings: `--format json` and `--format=json`.
-        const size_t eq = key.find('=');
-        if (eq != std::string::npos) {
-            a.options[key.substr(0, eq)] = key.substr(eq + 1);
-        } else if (i + 1 < argc &&
-                   std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            a.options[key] = argv[++i];
-        } else {
-            a.options[key] = "";
-        }
-    }
-    return a;
+    recovery::RunParams p;
+    p.device = args.get("device", "A");
+    p.faults = args.get("faults", "none");
+    p.workload = args.get("workload", "RW Mixed");
+    p.scale = numFlag(args, "scale", 0.05);
+    p.supervisor = args.has("supervisor");
+    p.timelineMs = numFlag<int64_t>(args, "timeline-ms", 0);
+    return p;
 }
 
-/** Build a device by name ("A".."G" or "nvm"), with optional faults. */
+/** The run stack for @p params with @p sink attached; prints why and
+ *  returns nullptr when it cannot be built. */
+std::unique_ptr<recovery::RunStack>
+buildStack(const recovery::RunParams &params, const obs::Sink &sink)
+{
+    recovery::RunSpec spec;
+    std::string err;
+    std::unique_ptr<recovery::RunStack> stack;
+    if (params.toSpec(&spec, &err)) {
+        spec.sink = sink;
+        stack = recovery::RunStack::build(spec, false, &err);
+    }
+    if (!stack)
+        std::fprintf(stderr, "%s\n", err.c_str());
+    return stack;
+}
+
+/** Device @p name with --faults injected (nullptr after printing why). */
 std::unique_ptr<ssd::SsdDevice>
 makeDevice(const std::string &name, const Args &args)
 {
-    ssd::FaultProfile faults;
-    const std::string profileName = args.get("faults", "none");
-    if (!ssd::faultProfileByName(profileName, &faults)) {
-        std::fprintf(stderr, "unknown fault profile '%s' (try: ",
-                     profileName.c_str());
-        for (const auto &p : ssd::allFaultProfiles())
-            std::fprintf(stderr, "%s ", p.name.c_str());
-        std::fprintf(stderr, ")\n");
-        return nullptr;
-    }
+    recovery::RunParams params;
+    params.faults = args.get("faults", "none");
+    recovery::RunSpec spec;
+    std::string err;
     ssd::SsdConfig cfg;
-    if (name == "nvm") {
-        cfg = ssd::makeNvmBackedSsd();
-    } else if (name.size() == 1 && name[0] >= 'A' && name[0] <= 'G') {
-        cfg = ssd::makePreset(static_cast<ssd::SsdModel>(name[0] - 'A'));
-    } else {
-        std::fprintf(stderr, "unknown device '%s'\n", name.c_str());
+    if (params.toSpec(&spec, &err) && !ssd::presetByName(name, &cfg))
+        err = "unknown device '" + name + "'";
+    if (!err.empty()) {
+        std::fprintf(stderr, "%s\n", err.c_str());
         return nullptr;
     }
-    cfg.faults = faults;
+    cfg.faults = spec.faults;
     return std::make_unique<ssd::SsdDevice>(cfg);
 }
 
@@ -219,36 +146,37 @@ printFaultReport(const ssd::SsdDevice &dev,
     t.print(std::cout);
 }
 
-/** Attach one sink to the whole stack (device, resilient path, model,
- *  optional supervisor) and name the trace tracks. */
+/** Print the recall summary of a replayed stack. */
 void
-attachStack(const obs::Sink &sink, ssd::SsdDevice &dev,
-            blockdev::ResilientDevice &rdev, core::SsdCheck &check,
-            core::HealthSupervisor *sup)
+printAccuracy(const recovery::RunStack &stack)
 {
-    dev.attachObservability(sink);
-    rdev.attachObservability(sink);
-    check.attachObservability(sink);
-    if (sup != nullptr)
-        sup->attachObservability(sink);
-    if (sink.trace != nullptr) {
-        obs::TraceRecorder &tr = *sink.trace;
-        tr.setProcessName(obs::kHostPid, "host");
-        tr.setProcessName(obs::kDevicePid, "ssd " + dev.name());
-        tr.setThreadName({obs::kHostPid, obs::kHostWorkloadTid},
-                         "workload");
-        tr.setThreadName({obs::kHostPid, obs::kHostResilientTid},
-                         "resilient-io");
-        tr.setThreadName({obs::kHostPid, obs::kHostModelTid},
-                         "ssdcheck-model");
-        tr.setThreadName({obs::kHostPid, obs::kHostSupervisorTid},
-                         "supervisor");
-        tr.setThreadName({obs::kDevicePid, obs::kDeviceInterfaceTid},
-                         "interface");
-        for (uint32_t v = 0; v < dev.config().numVolumes(); ++v)
-            tr.setThreadName({obs::kDevicePid, v},
-                             "volume " + std::to_string(v));
+    const core::AccuracyResult &acc = stack.accuracy();
+    std::printf("workload: %s (%zu requests, HL fraction %.2f%%)\n",
+                stack.trace().name().c_str(), stack.trace().size(),
+                acc.hlFraction() * 100);
+    std::printf("NL accuracy: %.2f%%\nHL accuracy: %.2f%%\n",
+                acc.nlAccuracy() * 100, acc.hlAccuracy() * 100);
+    if (acc.faulted > 0)
+        std::printf("faulted requests excluded from recall: %llu\n",
+                    static_cast<unsigned long long>(acc.faulted));
+}
+
+/** Read the binary trace at @p path into @p reader; false + stderr on
+ *  failure. */
+bool
+readTraceBinary(const std::string &path, obs::TraceBinaryReader *reader)
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is) {
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        return false;
     }
+    if (!reader->read(is)) {
+        std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                     reader->error().c_str());
+        return false;
+    }
+    return true;
 }
 
 /** Write @p body via @p writer to @p path; false + stderr on failure. */
@@ -265,16 +193,18 @@ writeFile(const std::string &path, Writer &&writer)
     return true;
 }
 
-workload::SniaWorkload
-workloadByName(const std::string &name, bool *ok)
+/** Write @p reg at time @p t to --metrics-out, when given; false +
+ *  stderr on failure. */
+bool
+writeMetrics(const Args &args, const obs::Registry &reg, sim::SimTime t)
 {
-    *ok = true;
-    for (const auto w : workload::allSniaWorkloads()) {
-        if (toString(w) == name)
-            return w;
-    }
-    *ok = false;
-    return workload::SniaWorkload::RwMixed;
+    if (!args.has("metrics-out"))
+        return true;
+    const std::string path = args.get("metrics-out", "metrics.json");
+    if (!writeFile(path, [&](std::ostream &os) { reg.writeJson(os, t); }))
+        return false;
+    std::printf("wrote %zu metrics to %s\n", reg.size(), path.c_str());
+    return true;
 }
 
 /**
@@ -302,12 +232,11 @@ startTelemetry(const Args &args, Telemetry *t, int *rc)
 {
     if (!args.has("listen"))
         return true;
-    const uint16_t port =
-        static_cast<uint16_t>(std::stoul(args.get("listen", "0")));
+    const uint16_t port = numFlag<uint16_t>(args, "listen", 0);
+    const uint64_t staleMs = numFlag<uint64_t>(args, "stale-ms", 10000);
     t->server = std::make_unique<obs::HttpServer>(t->hub);
     if (args.has("stale-ms"))
-        t->server->setStaleNs(
-            std::stoull(args.get("stale-ms", "10000")) * 1000000ull);
+        t->server->setStaleNs(staleMs * 1000000ull);
     std::string err;
     if (!t->server->start(port, &err)) {
         std::fprintf(stderr, "cannot start telemetry server: %s\n",
@@ -396,90 +325,41 @@ cmdFingerprint(const Args &args)
 int
 cmdAccuracy(const Args &args)
 {
-    auto dev = makeDevice(args.get("device", "A"), args);
-    if (!dev)
-        return cli::kBadArgs;
-    bool ok = true;
-    const auto w = workloadByName(args.get("workload", "RW Mixed"), &ok);
-    if (!ok) {
-        std::fprintf(stderr, "unknown workload\n");
-        return cli::kBadArgs;
-    }
-    const double scale = std::stod(args.get("scale", "0.05"));
-
-    // The host stack always talks to the device through the resilient
-    // path; on a healthy device it is a transparent pass-through.
-    blockdev::ResilientDevice rdev(*dev);
-
-    // Diagnosis is a one-time offline procedure: features come from a
-    // healthy twin (same model, no faults), so the whole fault budget
-    // lands on the measured run and the runtime machinery — retries,
-    // tainted-completion exclusion, drift response — is what's tested.
-    ssd::SsdConfig cleanCfg = dev->config();
-    cleanCfg.faults = ssd::FaultProfile{};
-    ssd::SsdDevice cleanDev(cleanCfg);
-    core::DiagnosisRunner runner(cleanDev, core::DiagnosisConfig{});
-    const core::FeatureSet fs = runner.extractFeatures();
-    std::printf("features: %s\n", fs.summary().c_str());
-    if (!fs.bufferModelUsable()) {
-        std::printf("no usable buffer model; prediction disabled\n");
-        return 0;
-    }
-    core::SsdCheck check(fs);
-    std::unique_ptr<core::HealthSupervisor> sup;
-    if (args.has("supervisor"))
-        sup = std::make_unique<core::HealthSupervisor>(check, rdev);
-
+    const double floor = numFlag(args, "min-recovered-accuracy", 0.0);
     // Optional metrics snapshot of the run (registry views over every
     // layer's counters; attaching never changes the results).
     obs::Registry registry;
     obs::Sink sink;
-    const bool wantMetrics = args.has("metrics-out");
-    if (wantMetrics) {
+    if (args.has("metrics-out"))
         sink.metrics = &registry;
-        if (args.has("timeline-ms"))
-            registry.enableTimeline(sim::milliseconds(
-                std::stoll(args.get("timeline-ms", "100"))));
-        attachStack(sink, *dev, rdev, check, sup.get());
-    }
+    // Diagnosis is a one-time offline procedure on a healthy twin, so
+    // the whole fault budget lands on the measured run and the runtime
+    // machinery — retries, tainted-completion exclusion, drift
+    // response — is what's tested.
+    const auto stack = buildStack(runParams(args), sink);
+    if (!stack)
+        return cli::kBadArgs;
+    const core::SsdCheck &check = *stack->checkPtr();
+    std::printf("features: %s\n", check.features().summary().c_str());
 
-    dev->precondition();
-    const auto trace =
-        workload::buildSniaTrace(w, dev->capacityPages(), scale);
-    sim::SimTime end;
-    const auto acc = core::evaluatePredictionAccuracy(
-        rdev, check, trace, runner.now(), &end, sup.get(),
-        wantMetrics ? &sink : nullptr);
-    if (wantMetrics) {
-        const std::string path = args.get("metrics-out", "metrics.json");
-        if (!writeFile(path,
-                       [&](std::ostream &os) { registry.writeJson(os, end); }))
-            return cli::kBadArgs;
-        std::printf("wrote %zu metrics to %s\n", registry.size(),
-                    path.c_str());
-    }
-    std::printf("workload: %s (%zu requests, HL fraction %.2f%%)\n",
-                trace.name().c_str(), trace.size(),
-                acc.hlFraction() * 100);
-    std::printf("NL accuracy: %.2f%%\nHL accuracy: %.2f%%\n",
-                acc.nlAccuracy() * 100, acc.hlAccuracy() * 100);
-    if (acc.faulted > 0)
-        std::printf("faulted requests excluded from recall: %llu\n",
-                    static_cast<unsigned long long>(acc.faulted));
-    printFaultReport(*dev, rdev);
+    while (!stack->done())
+        stack->step();
+    if (!writeMetrics(args, registry, stack->now()))
+        return cli::kBadArgs;
+    printAccuracy(*stack);
+    printFaultReport(stack->device(), stack->resilient());
 
+    const core::HealthSupervisor *sup = stack->supervisorPtr();
     const double rollingHl = check.monitor().rollingHlAccuracy();
-    if (sup) {
+    if (sup != nullptr) {
         stats::printBanner(std::cout, "model health");
         std::printf("%s", sup->report().c_str());
         std::printf("rolling HL accuracy at end of run: %.2f%%\n",
                     rollingHl * 100);
     }
     if (args.has("min-recovered-accuracy")) {
-        const double floor =
-            std::stod(args.get("min-recovered-accuracy", "0"));
         const bool disabled =
-            (sup && sup->state() == core::HealthState::Disabled) ||
+            (sup != nullptr && sup->state() == core::HealthState::Disabled) ||
             !check.enabled();
         if (disabled || rollingHl < floor) {
             std::fprintf(stderr,
@@ -498,9 +378,8 @@ cmdAccuracy(const Args &args)
 int
 cmdSynth(const Args &args)
 {
-    bool ok = true;
-    const auto w = workloadByName(args.get("workload", "RW Mixed"), &ok);
-    if (!ok) {
+    workload::SniaWorkload w = workload::SniaWorkload::RwMixed;
+    if (!workload::sniaWorkloadByName(args.get("workload", "RW Mixed"), &w)) {
         std::fprintf(stderr, "unknown workload\n");
         return cli::kBadArgs;
     }
@@ -509,8 +388,13 @@ cmdSynth(const Args &args)
         std::fprintf(stderr, "--out FILE required\n");
         return cli::kBadArgs;
     }
-    const double scale = std::stod(args.get("scale", "0.05"));
-    const uint64_t span = std::stoull(args.get("span", "131072"));
+    const double scale = numFlag(args, "scale", 0.05);
+    const uint64_t span = numFlag<uint64_t>(args, "span", 131072);
+    const std::string se = recovery::scaleError(scale);
+    if (!se.empty()) {
+        std::fprintf(stderr, "%s\n", se.c_str());
+        return cli::kBadArgs;
+    }
     const auto trace = workload::buildSniaTrace(w, span, scale);
     std::ofstream os(out);
     if (!os) {
@@ -577,53 +461,16 @@ cmdReplay(const Args &args)
 int
 cmdTrace(const Args &args)
 {
-    auto dev = makeDevice(args.get("device", "A"), args);
-    if (!dev)
-        return cli::kBadArgs;
-    bool ok = true;
-    const auto w = workloadByName(args.get("workload", "RW Mixed"), &ok);
-    if (!ok) {
-        std::fprintf(stderr, "unknown workload\n");
-        return cli::kBadArgs;
-    }
-    const double scale = std::stod(args.get("scale", "0.05"));
-
-    blockdev::ResilientDevice rdev(*dev);
-    ssd::SsdConfig cleanCfg = dev->config();
-    cleanCfg.faults = ssd::FaultProfile{};
-    ssd::SsdDevice cleanDev(cleanCfg);
-    core::DiagnosisRunner runner(cleanDev, core::DiagnosisConfig{});
-    const core::FeatureSet fs = runner.extractFeatures();
-    if (!fs.bufferModelUsable()) {
-        std::fprintf(stderr,
-                     "no usable buffer model; nothing to trace\n");
-        return cli::kBadArgs;
-    }
-    core::SsdCheck check(fs);
-    std::unique_ptr<core::HealthSupervisor> sup;
-    if (args.has("supervisor"))
-        sup = std::make_unique<core::HealthSupervisor>(check, rdev);
-
     obs::TraceRecorder recorder;
     obs::Registry registry;
     obs::AuditLog audit;
-    const obs::Sink sink{&recorder, &registry, &audit};
-    if (args.has("timeline-ms"))
-        registry.enableTimeline(
-            sim::milliseconds(std::stoll(args.get("timeline-ms", "100"))));
-    attachStack(sink, *dev, rdev, check, sup.get());
-
-    dev->precondition();
-    const auto trace =
-        workload::buildSniaTrace(w, dev->capacityPages(), scale);
-    sim::SimTime end;
-    const auto acc = core::evaluatePredictionAccuracy(
-        rdev, check, trace, runner.now(), &end, sup.get(), &sink);
-    std::printf("workload: %s (%zu requests, HL fraction %.2f%%)\n"
-                "NL accuracy: %.2f%%\nHL accuracy: %.2f%%\n",
-                trace.name().c_str(), trace.size(),
-                acc.hlFraction() * 100, acc.nlAccuracy() * 100,
-                acc.hlAccuracy() * 100);
+    const auto stack =
+        buildStack(runParams(args), obs::Sink{&recorder, &registry, &audit});
+    if (!stack)
+        return cli::kBadArgs;
+    while (!stack->done())
+        stack->step();
+    printAccuracy(*stack);
 
     const std::string tracePath = args.get("out", "trace.json");
     if (!writeFile(tracePath,
@@ -632,14 +479,8 @@ cmdTrace(const Args &args)
     std::printf("wrote %zu trace events to %s "
                 "(open in chrome://tracing or ui.perfetto.dev)\n",
                 recorder.events(), tracePath.c_str());
-    if (args.has("metrics-out")) {
-        const std::string path = args.get("metrics-out", "metrics.json");
-        if (!writeFile(path,
-                       [&](std::ostream &os) { registry.writeJson(os, end); }))
-            return cli::kBadArgs;
-        std::printf("wrote %zu metrics to %s\n", registry.size(),
-                    path.c_str());
-    }
+    if (!writeMetrics(args, registry, stack->now()))
+        return cli::kBadArgs;
     if (args.has("binary-out")) {
         const std::string path = args.get("binary-out", "trace.bin");
         if (!writeFile(path, [&](std::ostream &os) {
@@ -661,7 +502,7 @@ cmdTrace(const Args &args)
 
     stats::printBanner(std::cout, "misprediction audit");
     std::printf("%s", audit.analyze().format().c_str());
-    printFaultReport(*dev, rdev);
+    printFaultReport(stack->device(), stack->resilient());
     return 0;
 }
 
@@ -670,17 +511,9 @@ cmdTraceConvert(const Args &args)
 {
     const std::string inPath = args.get("in", "trace.bin");
     const std::string outPath = args.get("out", "trace.json");
-    std::ifstream is(inPath, std::ios::binary);
-    if (!is) {
-        std::fprintf(stderr, "cannot open %s\n", inPath.c_str());
-        return cli::kBadArgs;
-    }
     obs::TraceBinaryReader reader;
-    if (!reader.read(is)) {
-        std::fprintf(stderr, "%s: %s\n", inPath.c_str(),
-                     reader.error().c_str());
+    if (!readTraceBinary(inPath, &reader))
         return cli::kBadArgs;
-    }
     if (!writeFile(outPath, [&](std::ostream &os) {
             reader.recorder().writeChromeJson(os);
         }))
@@ -695,39 +528,32 @@ cmdTraceConvert(const Args &args)
  * The per-stage cost-attribution pass of `ssdcheck bench`: one serial
  * profiled replay of every workload on device A behind the guarded
  * policy stack (the full hot path: wb/gc/nand + model + policy +
- * trace-stage registry upkeep), mirroring the grid shard protocol so
- * ns/request is attributable to the same code the gate times.
+ * trace-stage registry upkeep). The stack is built like `run
+ * --resilience guarded`; one model carries across the seven traces,
+ * as in the grid.
  */
 bool
 profileStagePass(double scale, obs::StageProfiler *prof, std::string *err)
 {
-    auto dev = std::make_unique<ssd::SsdDevice>(
-        ssd::makePreset(ssd::SsdModel::A));
-    blockdev::ResilientDevice rdev(*dev);
-    resilience::ResiliencePolicy policy;
-    resilience::resiliencePolicyByName("guarded", &policy);
-    resilience::PolicyDevice pdev(rdev, policy);
-    core::DiagnosisRunner runner(*dev, core::DiagnosisConfig{});
-    const core::FeatureSet fs = runner.extractFeatures();
-    if (!fs.bufferModelUsable()) {
-        *err = "no usable buffer model on device A";
+    recovery::RunParams params;
+    params.scale = scale;
+    params.resilience = "guarded";
+    recovery::RunSpec spec;
+    if (!params.toSpec(&spec, err))
         return false;
-    }
-    core::SsdCheck check(fs);
-    obs::Sink sink;
-    sink.stages = prof;
-    dev->attachObservability(sink);
-    rdev.attachObservability(sink);
-    pdev.attachObservability(sink);
-    check.attachObservability(sink);
-    sim::SimTime now = runner.now();
+    spec.sink.stages = prof;
+    const auto stack = recovery::RunStack::build(spec, false, err);
+    if (!stack)
+        return false;
+    sim::SimTime now = stack->now();
     for (const auto w : workload::allSniaWorkloads()) {
         const auto trace = workload::buildSniaTrace(
-            w, dev->capacityPages(), scale,
+            w, stack->device().capacityPages(), scale,
             1000 + static_cast<uint64_t>(w));
         sim::SimTime end = now;
-        (void)core::evaluatePredictionAccuracy(pdev, check, trace, now,
-                                               &end, nullptr, &sink);
+        (void)core::evaluatePredictionAccuracy(stack->top(),
+                                               *stack->checkPtr(), trace,
+                                               now, &end, nullptr, &spec.sink);
         now = end + sim::milliseconds(100);
     }
     return true;
@@ -754,20 +580,10 @@ renderStageNsJson(const obs::StageProfiler &prof)
 int
 cmdTraceStats(const Args &args)
 {
-    const std::string inPath = args.get("in", "trace.bin");
-    std::ifstream is(inPath, std::ios::binary);
-    if (!is) {
-        std::fprintf(stderr, "cannot open %s\n", inPath.c_str());
-        return cli::kBadArgs;
-    }
+    const size_t topN = numFlag<size_t>(args, "top", 10);
     obs::TraceBinaryReader reader;
-    if (!reader.read(is)) {
-        std::fprintf(stderr, "%s: %s\n", inPath.c_str(),
-                     reader.error().c_str());
+    if (!readTraceBinary(args.get("in", "trace.bin"), &reader))
         return cli::kBadArgs;
-    }
-    const size_t topN =
-        static_cast<size_t>(std::stoull(args.get("top", "10")));
     const obs::TraceStats stats =
         obs::computeTraceStats(reader.recorder(), topN);
     const std::string format = args.get("format", "text");
@@ -787,13 +603,15 @@ cmdTraceStats(const Args &args)
 int
 cmdBench(const Args &args)
 {
-    const unsigned jobs = static_cast<unsigned>(
-        std::stoul(args.get("jobs",
-                            std::to_string(perf::ThreadPool::defaultJobs()))));
-    const double scale = std::stod(args.get("scale", "0.03"));
-    const uint64_t seedCount = std::stoull(args.get("seeds", "1"));
-    if (seedCount == 0 || scale <= 0) {
-        std::fprintf(stderr, "--seeds and --scale must be positive\n");
+    const unsigned jobs =
+        numFlag<unsigned>(args, "jobs", perf::ThreadPool::defaultJobs());
+    const double scale = numFlag(args, "scale", 0.03);
+    const uint64_t seedCount = numFlag<uint64_t>(args, "seeds", 1);
+    const double maxRegress = numFlag(args, "max-regress", 0.30);
+    const double maxStage = numFlag(args, "max-stage-regress", 3.0);
+    if (seedCount == 0 || !recovery::scaleError(scale).empty()) {
+        std::fprintf(stderr, "--seeds must be positive and --scale in "
+                             "(0, 1]\n");
         return cli::kBadArgs;
     }
 
@@ -853,8 +671,6 @@ cmdBench(const Args &args)
                          basePath.c_str());
             return cli::kBadArgs;
         }
-        const double maxRegress =
-            std::stod(args.get("max-regress", "0.30"));
         const double floor = *baseline * (1.0 - maxRegress);
         const double measured = grid.timing.iosPerSec();
         if (measured < floor) {
@@ -885,8 +701,6 @@ cmdBench(const Args &args)
         // allowed band is deliberately generous (default 3x each
         // way); the high side fails, the low side only warns that
         // the baseline has gone stale — like the aggregate gate.
-        const double maxStage =
-            std::stod(args.get("max-stage-regress", "3.0"));
         bool stageFail = false;
         for (size_t i = 0; i < obs::kStageCount; ++i) {
             const auto s = static_cast<obs::Stage>(i);
@@ -926,13 +740,6 @@ cmdBench(const Args &args)
     return 0;
 }
 
-/** True when @p path names a readable file. */
-bool
-fileExists(const std::string &path)
-{
-    return std::ifstream(path).good();
-}
-
 /**
  * Chaos hook: start writing a checkpoint the non-atomic way — dump
  * half the bytes into the temp file — then die by SIGKILL, leaving a
@@ -955,32 +762,24 @@ dieInCheckpointWrite(const std::string &path,
 int
 cmdRun(const Args &args)
 {
-    recovery::RunParams params;
-    params.device = args.get("device", "A");
-    params.faults = args.get("faults", "none");
-    params.workload = args.get("workload", "RW Mixed");
-    params.scale = std::stod(args.get("scale", "0.05"));
-    params.supervisor = args.has("supervisor");
-    params.timelineMs = std::stoll(args.get("timeline-ms", "0"));
+    recovery::RunParams params = runParams(args);
     params.resilience = args.get("resilience", "off");
 
     const std::string resumePath = args.get("resume", "");
     const std::string ckptOut = args.get("checkpoint-out", "");
-    const uint64_t ckptEvery =
-        std::stoull(args.get("checkpoint-every", "0"));
+    const uint64_t ckptEvery = numFlag<uint64_t>(args, "checkpoint-every", 0);
     const std::string finalOut = args.get("final-state-out", "");
     const bool force = args.has("force");
     const uint64_t killAfter =
-        std::stoull(args.get("kill-after-requests", "0"));
+        numFlag<uint64_t>(args, "kill-after-requests", 0);
     const bool killInCkpt = args.has("kill-in-checkpoint");
-    uint64_t publishEvery =
-        std::stoull(args.get("publish-every", "1024"));
+    uint64_t publishEvery = numFlag<uint64_t>(args, "publish-every", 1024);
     if (publishEvery == 0)
         publishEvery = 1;
     // Chaos hook for the telemetry watchdog: park the sim thread after
     // N requests so /healthz flips 503 once the snapshot goes stale.
     const uint64_t hangAfter =
-        std::stoull(args.get("hang-after-requests", "0"));
+        numFlag<uint64_t>(args, "hang-after-requests", 0);
 
     if ((ckptEvery > 0) != !ckptOut.empty()) {
         std::fprintf(stderr, "--checkpoint-every and --checkpoint-out "
@@ -988,7 +787,7 @@ cmdRun(const Args &args)
         return cli::kBadArgs;
     }
     if (!ckptOut.empty() && ckptOut != resumePath &&
-        fileExists(ckptOut) && !force) {
+        cli::fileExists(ckptOut) && !force) {
         std::fprintf(stderr,
                      "refusing to overwrite existing checkpoint %s; "
                      "pass --force to allow it\n",
@@ -1054,11 +853,8 @@ cmdRun(const Args &args)
     }
     if (resuming) {
         std::string detail;
-        const recovery::LoadError e = run->restore(snap, &detail, force);
-        if (e == recovery::LoadError::ConfigMismatch) {
-            std::fprintf(stderr, "config mismatch: %s\n", detail.c_str());
-            return cli::kConfigMismatch;
-        }
+        // The config hash was checked above (or --force waived it).
+        const recovery::LoadError e = run->restore(snap, &detail, true);
         if (e != recovery::LoadError::Ok) {
             std::fprintf(stderr, "unusable snapshot %s [%s]: %s\n",
                          resumePath.c_str(),
@@ -1073,9 +869,12 @@ cmdRun(const Args &args)
     }
 
     uint64_t checkpoints = 0;
-    if (tele.active())
-        tele.hub.publish(run->registry(),
-                         runStatusOf(*run, "run", checkpoints));
+    auto publish = [&](const char *phase) {
+        if (tele.active())
+            tele.hub.publish(run->registry(),
+                             runStatusOf(*run, phase, checkpoints));
+    };
+    publish("run");
 
     uint64_t nextCkpt =
         ckptEvery > 0 ? (run->cursor() / ckptEvery + 1) * ckptEvery : 0;
@@ -1097,13 +896,10 @@ cmdRun(const Args &args)
             ++checkpoints;
             // Checkpoint boundaries are natural publish points: the
             // run is quiescent and the registry self-consistent.
-            if (tele.active())
-                tele.hub.publish(run->registry(),
-                                 runStatusOf(*run, "run", checkpoints));
+            publish("run");
         }
-        if (tele.active() && run->cursor() % publishEvery == 0)
-            tele.hub.publish(run->registry(),
-                             runStatusOf(*run, "run", checkpoints));
+        if (run->cursor() % publishEvery == 0)
+            publish("run");
         if (hangAfter > 0 && run->cursor() >= hangAfter) {
             std::printf("hanging after %llu requests (telemetry "
                         "watchdog hook); kill me\n",
@@ -1115,22 +911,14 @@ cmdRun(const Args &args)
         if (killAfter > 0 && !killInCkpt && run->cursor() >= killAfter)
             std::raise(SIGKILL);
     }
-    if (tele.active())
-        tele.hub.publish(run->registry(),
-                         runStatusOf(*run, "done", checkpoints));
+    publish("done");
 
-    if (!ckptOut.empty()) {
+    // The final state goes to the checkpoint file and --final-state-out.
+    for (const std::string &path : {ckptOut, finalOut}) {
+        if (path.empty())
+            continue;
         const std::string werr =
-            recovery::writeFileAtomic(ckptOut,
-                                      run->checkpoint().serialize());
-        if (!werr.empty()) {
-            std::fprintf(stderr, "checkpoint failed: %s\n", werr.c_str());
-            return cli::kBadArgs;
-        }
-    }
-    if (!finalOut.empty()) {
-        const std::string werr = recovery::writeFileAtomic(
-            finalOut, run->checkpoint().serialize());
+            recovery::writeFileAtomic(path, run->checkpoint().serialize());
         if (!werr.empty()) {
             std::fprintf(stderr, "final state write failed: %s\n",
                          werr.c_str());
@@ -1145,15 +933,7 @@ cmdRun(const Args &args)
             return cli::kBadArgs;
     }
 
-    const core::AccuracyResult &acc = run->accuracy();
-    std::printf("workload: %s (%zu requests, HL fraction %.2f%%)\n",
-                run->trace().name().c_str(), run->trace().size(),
-                acc.hlFraction() * 100);
-    std::printf("NL accuracy: %.2f%%\nHL accuracy: %.2f%%\n",
-                acc.nlAccuracy() * 100, acc.hlAccuracy() * 100);
-    if (acc.faulted > 0)
-        std::printf("faulted requests excluded from recall: %llu\n",
-                    static_cast<unsigned long long>(acc.faulted));
+    printAccuracy(*run);
     if (run->supervisorPtr() != nullptr) {
         stats::printBanner(std::cout, "model health");
         std::printf("%s", run->supervisorPtr()->report().c_str());
@@ -1176,6 +956,8 @@ cmdRun(const Args &args)
 int
 cmdChaos(const Args &args)
 {
+    const unsigned jobs =
+        numFlag<unsigned>(args, "jobs", perf::ThreadPool::defaultJobs());
     const std::string path = args.get("scenario", "");
     if (path.empty()) {
         std::fprintf(stderr, "--scenario FILE required\n");
@@ -1196,9 +978,6 @@ cmdChaos(const Args &args)
                      err.c_str());
         return cli::kBadArgs;
     }
-    const unsigned jobs = static_cast<unsigned>(
-        std::stoul(args.get("jobs",
-                            std::to_string(perf::ThreadPool::defaultJobs()))));
     Telemetry tele;
     int rc = cli::kOk;
     if (!startTelemetry(args, &tele, &rc))
@@ -1331,12 +1110,9 @@ usage(int rc)
     return rc;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+dispatch(const Args &args)
 {
-    const Args args = parse(argc, argv);
     if (args.command == "fingerprint")
         return cmdFingerprint(args);
     if (args.command == "accuracy")
@@ -1363,4 +1139,17 @@ main(int argc, char **argv)
         args.command == "-h")
         return usage(cli::kOk);
     return usage(cli::kUsage);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return dispatch(cli::parseArgs(argc, argv, true));
+    } catch (const cli::BadFlag &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return cli::kBadArgs;
+    }
 }
