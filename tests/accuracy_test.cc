@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/accuracy.h"
 #include "core/ssdcheck.h"
 #include "ssd/presets.h"
@@ -24,6 +26,15 @@ struct Floors
     double nlFloor;
     double hlFloor;
 };
+
+// Without this gtest prints the raw bytes of Floors, padding included,
+// and the padding holds leftover address bytes that differ every run:
+// the discovered ctest names would then change from build to build.
+void PrintTo(const Floors &f, std::ostream *os)
+{
+    *os << "SSD " << ssd::toString(f.model) << " NL>" << f.nlFloor
+        << " HL>" << f.hlFloor;
+}
 
 class AccuracyFloorTest : public ::testing::TestWithParam<Floors>
 {
