@@ -71,28 +71,20 @@ HostLoop::issue(const blockdev::IoRequest &req, sim::SimTime t)
         if (sup_ != nullptr)
             sup_->onCompletion(req, actualHl, res);
     }
-    {
-        // Span emission and registry upkeep are observability
-        // overhead, not simulation work: bill them to the trace
-        // stage so the profiler separates them from wb/gc/nand.
-        const obs::StageScope obsStage(sink_.stages, obs::Stage::Trace);
-        if (sink_.trace != nullptr) {
-            obs::TraceArg *a = sink_.trace->completeFill(
-                "host", "host.request",
-                obs::TraceTrack{obs::kHostPid, obs::kHostWorkloadTid}, t,
-                res.completeTime - t, 4);
-            a[0] = {"lba", static_cast<int64_t>(req.lba)};
-            a[1] = {"write", req.isWrite() ? 1 : 0};
-            a[2] = {"pred_hl", pred.hl ? 1 : 0};
-            a[3] = {"actual_hl", actualHl ? 1 : 0};
-        }
-        if (sink_.metrics != nullptr) {
-            hostLatency_.observe(res.completeTime - t);
-            sink_.metrics->tick(res.completeTime);
-        }
+    if (sink_.trace != nullptr) {
+        obs::TraceArg *a = sink_.trace->completeFill(
+            "host", "host.request",
+            obs::TraceTrack{obs::kHostPid, obs::kHostWorkloadTid}, t,
+            res.completeTime - t, 4);
+        a[0] = {"lba", static_cast<int64_t>(req.lba)};
+        a[1] = {"write", req.isWrite() ? 1 : 0};
+        a[2] = {"pred_hl", pred.hl ? 1 : 0};
+        a[3] = {"actual_hl", actualHl ? 1 : 0};
     }
-    if (sink_.stages != nullptr)
-        sink_.stages->addRequest();
+    if (sink_.metrics != nullptr) {
+        hostLatency_.observe(res.completeTime - t);
+        sink_.metrics->tick(res.completeTime);
+    }
     if (res.ok())
         lastOkLatency = res.completeTime - t;
     if (check_ == nullptr)

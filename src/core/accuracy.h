@@ -93,7 +93,7 @@ class HostLoop
      * which also skips the recall fold. Optional @p sup (needs a model)
      * is pumped, fed completions, and passed on via trustForecasts().
      * @p sink: host.request spans, the host_latency_ns histogram
-     * (registered here) with registry ticks, stage attribution.
+     * (registered here) with registry ticks.
      */
     HostLoop(blockdev::BlockDevice &dev, SsdCheck *check,
              HealthSupervisor *sup, const obs::Sink &sink);

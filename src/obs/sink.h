@@ -14,7 +14,6 @@
 
 #include "obs/audit_log.h"
 #include "obs/registry.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace_recorder.h"
 
 namespace ssdcheck::obs {
@@ -25,12 +24,10 @@ struct Sink
     TraceRecorder *trace = nullptr;
     Registry *metrics = nullptr;
     AuditLog *audit = nullptr;
-    StageProfiler *stages = nullptr;
 
     bool any() const
     {
-        return trace != nullptr || metrics != nullptr ||
-               audit != nullptr || stages != nullptr;
+        return trace != nullptr || metrics != nullptr || audit != nullptr;
     }
 };
 

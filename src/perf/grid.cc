@@ -1,6 +1,9 @@
 #include "perf/grid.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -80,7 +83,9 @@ runTimedBatch(
     out.tasks.resize(tasks.size());
     const auto batchStart = std::chrono::steady_clock::now();
     {
-        ThreadPool pool(out.jobs);
+        // No more workers than tasks: idle threads only cost start-up.
+        ThreadPool pool(
+            static_cast<unsigned>(std::min<size_t>(out.jobs, tasks.size())));
         out.workerThreads = pool.threads();
         parallelFor(pool, tasks.size(), [&](size_t i) {
             const auto t0 = std::chrono::steady_clock::now();
@@ -206,8 +211,7 @@ runGrid(const GridSpec &spec, unsigned jobs)
 
 bool
 writeBenchGridJson(const std::string &path, const std::string &name,
-                   const BatchTiming &timing,
-                   const std::string &extraJson)
+                   const BatchTiming &timing)
 {
     std::ofstream os(path);
     if (!os)
@@ -226,8 +230,6 @@ writeBenchGridJson(const std::string &path, const std::string &name,
          << ",\n";
     body << "  \"simulated_ios\": " << timing.simulatedIos() << ",\n";
     body << "  \"ios_per_sec\": " << timing.iosPerSec() << ",\n";
-    if (!extraJson.empty())
-        body << "  " << extraJson << ",\n";
     body << "  \"tasks\": [\n";
     for (size_t i = 0; i < timing.tasks.size(); ++i) {
         const TaskTiming &t = timing.tasks[i];
@@ -259,39 +261,21 @@ readBaselineIosPerSec(const std::string &path)
     const size_t colon = text.find(':', key);
     if (colon == std::string::npos)
         return std::nullopt;
-    try {
-        return std::stod(text.substr(colon + 1));
-    } catch (...) {
+    // The number token runs to the next ',' '}' or whitespace; all of
+    // it must parse, and a floor needs a finite positive value.
+    const size_t begin = text.find_first_not_of(" \t\r\n", colon + 1);
+    if (begin == std::string::npos)
         return std::nullopt;
-    }
-}
-
-std::optional<int64_t>
-readBaselineStageNs(const std::string &path, const std::string &stage)
-{
-    std::ifstream is(path);
-    if (!is)
+    size_t stop = text.find_first_of(",} \t\r\n", begin);
+    if (stop == std::string::npos)
+        stop = text.size();
+    double v = 0;
+    const char *first = text.data() + begin;
+    const char *last = text.data() + stop;
+    const auto [ptr, ec] = std::from_chars(first, last, v);
+    if (ec != std::errc() || ptr != last || !std::isfinite(v) || v <= 0)
         return std::nullopt;
-    std::stringstream ss;
-    ss << is.rdbuf();
-    const std::string text = ss.str();
-    const size_t block = text.find("\"stage_ns\"");
-    if (block == std::string::npos)
-        return std::nullopt;
-    const size_t entry = text.find("\"" + stage + "\"", block);
-    if (entry == std::string::npos)
-        return std::nullopt;
-    const size_t key = text.find("\"ns_per_request\"", entry);
-    if (key == std::string::npos)
-        return std::nullopt;
-    const size_t colon = text.find(':', key);
-    if (colon == std::string::npos)
-        return std::nullopt;
-    try {
-        return static_cast<int64_t>(std::stoll(text.substr(colon + 1)));
-    } catch (...) {
-        return std::nullopt;
-    }
+    return v;
 }
 
 } // namespace ssdcheck::perf

@@ -112,10 +112,6 @@ RunStack::init(const RunSpec &spec, bool forResume, std::string *err)
                              "volume " + std::to_string(v));
     }
     loop_ = core::HostLoop(top(), check_.get(), sup_.get(), sink);
-    // Stage views last: they are registry views (never serialized), so
-    // their presence cannot perturb checkpoint bytes or restore order.
-    if (sink.stages != nullptr && sink.metrics != nullptr)
-        sink.stages->exportTo(*sink.metrics);
 
     if (!forResume)
         dev_->precondition();
@@ -259,7 +255,7 @@ RunParams::toSpec(RunSpec *out, std::string *err) const
 
 std::unique_ptr<CheckpointableRun>
 CheckpointableRun::create(const RunParams &params, bool forResume,
-                          std::string *err, obs::StageProfiler *stages)
+                          std::string *err)
 {
     std::unique_ptr<CheckpointableRun> run(new CheckpointableRun());
     run->params_ = params;
@@ -269,7 +265,6 @@ CheckpointableRun::create(const RunParams &params, bool forResume,
     // Metrics are always attached: the registry is part of the
     // checkpointed state and of the final-state comparison.
     spec.sink.metrics = &run->registry_;
-    spec.sink.stages = stages;
     if (!run->init(spec, forResume, err))
         return nullptr;
     return run;

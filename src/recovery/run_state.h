@@ -6,8 +6,8 @@
  * RunSpec builds it; it steps one request at a time, checkpoints and
  * restores section by section, and recovery::checkInvariants checks
  * it. `ssdcheck run` (CheckpointableRun, below), chaos shards
- * (resilience::ChaosShard) and the CLI's `accuracy`, `trace` and
- * `bench` stage pass all build through here and differ only in spec.
+ * (resilience::ChaosShard) and the CLI's `accuracy` and `trace` all
+ * build through here and differ only in spec.
  *
  * Every step boundary is a quiescent point: no request is in flight,
  * no event is pending, and the full simulation state is the member
@@ -35,7 +35,6 @@
 #include "core/ssdcheck.h"
 #include "obs/registry.h"
 #include "obs/sink.h"
-#include "obs/stage_profiler.h"
 #include "recovery/snapshot.h"
 #include "resilience/policy.h"
 #include "ssd/ssd_device.h"
@@ -233,15 +232,10 @@ struct RunParams
 class CheckpointableRun : public RunStack
 {
   public:
-    /**
-     * Build the host stack for @p params (as RunStack::build), with an
-     * optional per-stage cost profiler exported onto the run's
-     * registry. Stage views are never serialized, so attaching one
-     * cannot change checkpoint bytes.
-     */
+    /** Build the host stack for @p params (as RunStack::build) with
+     *  the run's registry attached. */
     static std::unique_ptr<CheckpointableRun>
-    create(const RunParams &params, bool forResume, std::string *err,
-           obs::StageProfiler *stages = nullptr);
+    create(const RunParams &params, bool forResume, std::string *err);
 
     /** The stack's snapshot under configHash() plus a RunParams
      *  section. */

@@ -1,5 +1,6 @@
 #include "resilience/chaos.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -473,7 +474,8 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
     }
     CampaignProgress *prog = progress.get();
 
-    perf::ThreadPool pool(jobs == 0 ? 1 : jobs);
+    // No more workers than shards (a zero count clamps to one).
+    perf::ThreadPool pool(static_cast<unsigned>(std::min<size_t>(jobs, n)));
     parallelFor(pool, n, [&](size_t i) {
         ChaosShardResult &r = out.shards[i];
         r.seed = scenario.seeds[i];

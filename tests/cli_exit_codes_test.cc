@@ -91,6 +91,34 @@ TEST(CliExitCodes, BadArgumentsExitBadArgs)
     EXPECT_EQ(runCli("chaos --scenario /nonexistent.chaos", &out),
               cli::kBadArgs)
         << out;
+    // A regress factor outside [0, 1) or a baseline that cannot gate
+    // is refused before the grid runs.
+    EXPECT_EQ(runCli("bench --max-regress 2", &out), cli::kBadArgs) << out;
+    EXPECT_NE(out.find("--max-regress"), std::string::npos) << out;
+    const std::string nanBase =
+        testing::TempDir() + "/cli_exit_codes_nan_baseline.json";
+    {
+        std::ofstream f(nanBase);
+        f << "{\"ios_per_sec\": nan}\n";
+    }
+    EXPECT_EQ(runCli("bench --baseline " + nanBase, &out), cli::kBadArgs)
+        << out;
+    EXPECT_NE(out.find("cannot read baseline"), std::string::npos) << out;
+    EXPECT_EQ(out.find("grid:"), std::string::npos) << out;
+    std::remove(nanBase.c_str());
+}
+
+TEST(CliExitCodes, UnknownFlagsExitBadArgs)
+{
+    // Retired flags and typos are named, never silently ignored.
+    for (const char *args :
+         {"run --profile-stages", "bench --max-stage-regress 3",
+          "accuracy --scael 0.01", "faults --all"}) {
+        std::string out;
+        EXPECT_EQ(runCli(args, &out), cli::kBadArgs) << args << "\n" << out;
+        EXPECT_NE(out.find("unknown flag --"), std::string::npos)
+            << args << "\n" << out;
+    }
 }
 
 TEST(CliExitCodes, MalformedNumericFlagsExitBadArgs)

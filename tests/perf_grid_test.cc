@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
 
@@ -88,6 +89,17 @@ TEST(TimedBatchTest, KeepsSubmissionOrderAndCounts)
     EXPECT_GE(timing.wallSeconds, 0.0);
 }
 
+TEST(TimedBatchTest, WorkerThreadsNeverExceedTasks)
+{
+    std::vector<std::pair<std::string, std::function<uint64_t()>>> tasks;
+    tasks.emplace_back("a", []() { return uint64_t{1}; });
+    tasks.emplace_back("b", []() { return uint64_t{2}; });
+    const BatchTiming timing = runTimedBatch(tasks, 64);
+    EXPECT_EQ(timing.jobs, 64u);
+    EXPECT_EQ(timing.workerThreads, 2u);
+    EXPECT_EQ(timing.simulatedIos(), 3u);
+}
+
 TEST(BenchGridJsonTest, WriterAndBaselineReaderRoundTrip)
 {
     BatchTiming timing;
@@ -109,6 +121,34 @@ TEST(BenchGridJsonTest, MissingBaselineFileIsEmpty)
 {
     EXPECT_FALSE(
         readBaselineIosPerSec("/nonexistent/bench.json").has_value());
+}
+
+TEST(BenchGridJsonTest, BaselineThatCannotGateIsEmpty)
+{
+    // A floor of nan or <= 0 lets every run pass; the whole number
+    // token must parse, so trailing junk is not a value either.
+    const std::string path = ::testing::TempDir() + "bench_grid_bad.json";
+    for (const char *value :
+         {"nan", "-5", "0", "inf", "12abc", "\"900000\"", "", "+7"}) {
+        {
+            std::ofstream os(path);
+            os << "{\"ios_per_sec\": " << value << ", \"tasks\": []}\n";
+        }
+        EXPECT_FALSE(readBaselineIosPerSec(path).has_value()) << value;
+    }
+    {
+        std::ofstream os(path);
+        os << "{\"jobs\": 4}\n";
+    }
+    EXPECT_FALSE(readBaselineIosPerSec(path).has_value()) << "no key";
+    {
+        std::ofstream os(path);
+        os << "{\"ios_per_sec\": 900000.0}";
+    }
+    const auto last = readBaselineIosPerSec(path);
+    ASSERT_TRUE(last.has_value()) << "value at the end of the object";
+    EXPECT_EQ(*last, 900000.0);
+    std::remove(path.c_str());
 }
 
 /** Small two-device grid used by the determinism tests. */

@@ -124,11 +124,13 @@ TEST(ThreadPool, ParallelForCoversAllIndices)
 TEST(ThreadPool, BatchTimingReportsActualWorkerCount)
 {
     std::vector<std::pair<std::string, std::function<uint64_t()>>> tasks;
-    tasks.emplace_back("one", [] { return uint64_t{7}; });
+    // Three tasks: the pool never starts more workers than tasks.
+    for (int i = 0; i < 3; ++i)
+        tasks.emplace_back("task", [] { return uint64_t{7}; });
     const perf::BatchTiming t = perf::runTimedBatch(tasks, 3);
     EXPECT_EQ(t.jobs, 3u);
     EXPECT_EQ(t.workerThreads, 3u);
-    EXPECT_EQ(t.simulatedIos(), 7u);
+    EXPECT_EQ(t.simulatedIos(), 21u);
 
     // Jobs 0 is clamped exactly like the pool clamps it.
     const perf::BatchTiming t0 = perf::runTimedBatch(tasks, 0);
@@ -139,7 +141,9 @@ TEST(ThreadPool, BatchTimingReportsActualWorkerCount)
 TEST(ThreadPool, BenchGridJsonCarriesWorkerThreads)
 {
     std::vector<std::pair<std::string, std::function<uint64_t()>>> tasks;
+    // Two tasks: the pool never starts more workers than tasks.
     tasks.emplace_back("cell", [] { return uint64_t{11}; });
+    tasks.emplace_back("cell2", [] { return uint64_t{12}; });
     const perf::BatchTiming t = perf::runTimedBatch(tasks, 2);
 
     const std::string path =

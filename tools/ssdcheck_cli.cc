@@ -13,7 +13,7 @@
  *   run            the accuracy replay as a checkpointable run:
  *                  --checkpoint-every/--resume (exit 5 corrupt, 6
  *                  mismatch), soak hooks, live telemetry (--listen),
- *                  --profile-stages, --check-invariants (exit 7).
+ *                  --check-invariants (exit 7).
  *   chaos          adversarial fault campaign from a scenario file,
  *                  sharded over --jobs (exit 8 on SLO or --verify miss).
  *   bench          the Fig. 11 grid over --jobs threads, BENCH_grid.json
@@ -22,20 +22,22 @@
  *   trace-convert, trace-stats   offline trace.bin tools.
  *   faults         list the fault-injection profiles.
  *
- * `accuracy`, `trace`, `run` and the `bench` stage pass build their
- * host stack through recovery::RunStack. Devices are the simulated
- * presets; on a real system the same code would sit behind an
- * ioctl-capable block device.
+ * `accuracy`, `trace` and `run` build their host stack through
+ * recovery::RunStack. Devices are the simulated presets; on a real
+ * system the same code would sit behind an ioctl-capable block device.
  */
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "blockdev/resilient_device.h"
 #include "cli_args.h"
@@ -46,12 +48,10 @@
 #include "obs/exporter/http_server.h"
 #include "obs/exporter/telemetry.h"
 #include "obs/sink.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace_binary.h"
 #include "obs/trace_stats.h"
 #include "perf/grid.h"
 #include "perf/thread_pool.h"
-#include "perf/wall_clock.h"
 #include "recovery/invariants.h"
 #include "recovery/run_state.h"
 #include "recovery/snapshot.h"
@@ -275,28 +275,6 @@ runStatusOf(const recovery::CheckpointableRun &run, const char *phase,
     if (const core::HealthSupervisor *s = run.supervisorPtr())
         st.supervisorState = static_cast<uint8_t>(s->state());
     return st;
-}
-
-/** Print the per-stage cost attribution table (--profile-stages). */
-void
-printStageReport(const obs::StageProfiler &prof)
-{
-    stats::printBanner(std::cout, "per-stage cost attribution");
-    stats::TablePrinter t;
-    t.header({"stage", "self wall", "calls", "ns/request"});
-    for (size_t i = 0; i < obs::kStageCount; ++i) {
-        const auto s = static_cast<obs::Stage>(i);
-        t.row({obs::stageName(s),
-               stats::TablePrinter::num(
-                   static_cast<double>(prof.selfNs(s)) / 1e6, 1) +
-                   "ms",
-               std::to_string(prof.calls(s)),
-               std::to_string(prof.nsPerRequest(s))});
-    }
-    t.print(std::cout);
-    std::printf("%llu requests, %.1fms attributed in total\n",
-                static_cast<unsigned long long>(prof.requests()),
-                static_cast<double>(prof.totalNs()) / 1e6);
 }
 
 int
@@ -524,59 +502,6 @@ cmdTraceConvert(const Args &args)
     return 0;
 }
 
-/**
- * The per-stage cost-attribution pass of `ssdcheck bench`: one serial
- * profiled replay of every workload on device A behind the guarded
- * policy stack (the full hot path: wb/gc/nand + model + policy +
- * trace-stage registry upkeep). The stack is built like `run
- * --resilience guarded`; one model carries across the seven traces,
- * as in the grid.
- */
-bool
-profileStagePass(double scale, obs::StageProfiler *prof, std::string *err)
-{
-    recovery::RunParams params;
-    params.scale = scale;
-    params.resilience = "guarded";
-    recovery::RunSpec spec;
-    if (!params.toSpec(&spec, err))
-        return false;
-    spec.sink.stages = prof;
-    const auto stack = recovery::RunStack::build(spec, false, err);
-    if (!stack)
-        return false;
-    sim::SimTime now = stack->now();
-    for (const auto w : workload::allSniaWorkloads()) {
-        const auto trace = workload::buildSniaTrace(
-            w, stack->device().capacityPages(), scale,
-            1000 + static_cast<uint64_t>(w));
-        sim::SimTime end = now;
-        (void)core::evaluatePredictionAccuracy(stack->top(),
-                                               *stack->checkPtr(), trace,
-                                               now, &end, nullptr, &spec.sink);
-        now = end + sim::milliseconds(100);
-    }
-    return true;
-}
-
-/** The "stage_ns" member of BENCH_grid.json (integers only). */
-std::string
-renderStageNsJson(const obs::StageProfiler &prof)
-{
-    std::ostringstream os;
-    os << "\"stage_ns\": {";
-    for (size_t i = 0; i < obs::kStageCount; ++i) {
-        const auto s = static_cast<obs::Stage>(i);
-        os << (i > 0 ? ", " : "") << "\"" << obs::stageName(s)
-           << "\": {\"self_ns\": " << prof.selfNs(s)
-           << ", \"calls\": " << prof.calls(s)
-           << ", \"ns_per_request\": " << prof.nsPerRequest(s) << "}";
-    }
-    os << ", \"requests\": " << prof.requests()
-       << ", \"total_ns\": " << prof.totalNs() << "}";
-    return os.str();
-}
-
 int
 cmdTraceStats(const Args &args)
 {
@@ -608,11 +533,28 @@ cmdBench(const Args &args)
     const double scale = numFlag(args, "scale", 0.03);
     const uint64_t seedCount = numFlag<uint64_t>(args, "seeds", 1);
     const double maxRegress = numFlag(args, "max-regress", 0.30);
-    const double maxStage = numFlag(args, "max-stage-regress", 3.0);
     if (seedCount == 0 || !recovery::scaleError(scale).empty()) {
         std::fprintf(stderr, "--seeds must be positive and --scale in "
                              "(0, 1]\n");
         return cli::kBadArgs;
+    }
+    if (maxRegress < 0 || maxRegress >= 1) {
+        std::fprintf(stderr, "--max-regress must be in [0, 1)\n");
+        return cli::kBadArgs;
+    }
+    // Read the baseline before the grid runs: one that cannot gate
+    // (missing, nan, <= 0) is a bad argument, not a result.
+    std::optional<double> baseline;
+    if (args.has("baseline")) {
+        const std::string basePath = args.get("baseline", "");
+        baseline = perf::readBaselineIosPerSec(basePath);
+        if (!baseline) {
+            std::fprintf(stderr,
+                         "cannot read baseline %s: needs a finite "
+                         "\"ios_per_sec\" > 0\n",
+                         basePath.c_str());
+            return cli::kBadArgs;
+        }
     }
 
     Telemetry tele;
@@ -632,16 +574,6 @@ cmdBench(const Args &args)
                 static_cast<unsigned long long>(seedCount), jobs, scale);
     const perf::GridResult grid = perf::runGrid(spec, jobs);
 
-    // Serial cost-attribution pass: which stage owns each wall-ns.
-    obs::StageProfiler profiler(&perf::wallNowNs);
-    std::string perr;
-    if (!profileStagePass(scale, &profiler, &perr)) {
-        std::fprintf(stderr, "stage profile pass failed: %s\n",
-                     perr.c_str());
-        return cli::kBadArgs;
-    }
-    printStageReport(profiler);
-
     stats::TablePrinter t;
     t.header({"shard", "requests", "wall", "IOs/s"});
     for (const auto &task : grid.timing.tasks)
@@ -656,21 +588,13 @@ cmdBench(const Args &args)
                 grid.timing.iosPerSec());
 
     const std::string out = args.get("out", "BENCH_grid.json");
-    if (!perf::writeBenchGridJson(out, "cli_bench_grid", grid.timing,
-                                  renderStageNsJson(profiler))) {
+    if (!perf::writeBenchGridJson(out, "cli_bench_grid", grid.timing)) {
         std::fprintf(stderr, "cannot write %s\n", out.c_str());
         return cli::kBadArgs;
     }
     std::printf("wrote %s\n", out.c_str());
 
-    if (args.has("baseline")) {
-        const std::string basePath = args.get("baseline", "");
-        const auto baseline = perf::readBaselineIosPerSec(basePath);
-        if (!baseline) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         basePath.c_str());
-            return cli::kBadArgs;
-        }
+    if (baseline) {
         const double floor = *baseline * (1.0 - maxRegress);
         const double measured = grid.timing.iosPerSec();
         if (measured < floor) {
@@ -694,48 +618,6 @@ cmdBench(const Args &args)
                 "baseline %.0f — re-baseline bench/baseline.json so "
                 "the regression floor keeps its teeth\n",
                 measured, maxRegress * 100, *baseline);
-
-        // Per-stage two-sided gate: the aggregate gate says *that*
-        // throughput regressed, this one says *which* stage did.
-        // Per-stage wall-ns is noisier than the aggregate, so the
-        // allowed band is deliberately generous (default 3x each
-        // way); the high side fails, the low side only warns that
-        // the baseline has gone stale — like the aggregate gate.
-        bool stageFail = false;
-        for (size_t i = 0; i < obs::kStageCount; ++i) {
-            const auto s = static_cast<obs::Stage>(i);
-            const auto base =
-                perf::readBaselineStageNs(basePath, obs::stageName(s));
-            if (!base || *base <= 0)
-                continue; // absent/zero entry: nothing to gate against
-            const auto stageNs =
-                static_cast<double>(profiler.nsPerRequest(s));
-            const double stageCeil =
-                static_cast<double>(*base) * (1.0 + maxStage);
-            if (stageNs > stageCeil) {
-                std::fprintf(
-                    stderr,
-                    "FAIL: stage '%s' costs %.0f ns/request, over the "
-                    "%.0f ceiling (baseline %lld, max regress "
-                    "%.0f%%)\n",
-                    obs::stageName(s), stageNs, stageCeil,
-                    static_cast<long long>(*base), maxStage * 100);
-                stageFail = true;
-            } else if (stageNs * (1.0 + maxStage) <
-                       static_cast<double>(*base)) {
-                std::printf(
-                    "WARN: stage '%s' costs %.0f ns/request, far below "
-                    "the baseline %lld — re-baseline "
-                    "bench/baseline.json so the stage gate keeps its "
-                    "teeth\n",
-                    obs::stageName(s), stageNs,
-                    static_cast<long long>(*base));
-            }
-        }
-        if (stageFail)
-            return cli::kPerfGate;
-        std::printf("stage gate OK (max regress %.0f%% per stage)\n",
-                    maxStage * 100);
     }
     return 0;
 }
@@ -839,14 +721,9 @@ cmdRun(const Args &args)
     int rc = cli::kOk;
     if (!startTelemetry(args, &tele, &rc))
         return rc;
-    std::unique_ptr<obs::StageProfiler> profiler;
-    if (args.has("profile-stages"))
-        profiler =
-            std::make_unique<obs::StageProfiler>(&perf::wallNowNs);
 
     std::string err;
-    auto run = recovery::CheckpointableRun::create(params, resuming, &err,
-                                                  profiler.get());
+    auto run = recovery::CheckpointableRun::create(params, resuming, &err);
     if (!run) {
         std::fprintf(stderr, "%s\n", err.c_str());
         return cli::kBadArgs;
@@ -939,8 +816,6 @@ cmdRun(const Args &args)
         std::printf("%s", run->supervisorPtr()->report().c_str());
     }
     printFaultReport(run->device(), run->resilient());
-    if (profiler)
-        printStageReport(*profiler);
 
     if (args.has("check-invariants")) {
         const auto violations = recovery::checkInvariants(*run);
@@ -1043,7 +918,7 @@ cmdChaos(const Args &args)
 }
 
 int
-cmdFaults()
+cmdFaults(const Args &)
 {
     stats::TablePrinter t;
     t.header({"profile", "unc-read", "prog-fail", "erase-fail", "stall",
@@ -1092,14 +967,11 @@ usage(int rc)
         " [--check-invariants]\n"
         "             [--kill-after-requests N] [--kill-in-checkpoint]\n"
         "             [--listen PORT] [--stale-ms N] [--publish-every N]\n"
-        "             [--profile-stages]\n"
         "  chaos      --scenario FILE [--jobs N] [--verify]"
         " [--listen PORT]\n"
         "  faults\n"
         "  bench      [--jobs N] [--scale F] [--seeds K] [--out FILE]\n"
-        "             [--baseline FILE] [--max-regress F]"
-        " [--max-stage-regress F]\n"
-        "             [--listen PORT]\n"
+        "             [--baseline FILE] [--max-regress F] [--listen PORT]\n"
         "  help\n"
         "workloads: TPCE Homes Web Exch Live Build 'RW Mixed'\n"
         "fault profiles: none flaky-reads wearout stalls drift storms"
@@ -1110,34 +982,68 @@ usage(int rc)
     return rc;
 }
 
+/** One subcommand: its entry point and every flag it reads. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    std::vector<std::string> flags;
+};
+
+/** The subcommands; dispatch() rejects a flag its command does not
+ *  list, so a typo or a retired flag never runs silently ignored. */
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"fingerprint", cmdFingerprint, {"all", "device", "faults"}},
+        {"accuracy", cmdAccuracy,
+         {"device", "faults", "workload", "scale", "supervisor",
+          "timeline-ms", "min-recovered-accuracy", "metrics-out"}},
+        {"trace", cmdTrace,
+         {"device", "faults", "workload", "scale", "supervisor",
+          "timeline-ms", "out", "binary-out", "metrics-out", "audit-out"}},
+        {"trace-convert", cmdTraceConvert, {"in", "out"}},
+        {"trace-stats", cmdTraceStats, {"in", "format", "top"}},
+        {"synth", cmdSynth, {"workload", "out", "scale", "span"}},
+        {"replay", cmdReplay, {"device", "trace", "faults"}},
+        {"run", cmdRun,
+         {"device", "faults", "workload", "scale", "supervisor",
+          "timeline-ms", "resilience", "metrics-out", "checkpoint-every",
+          "checkpoint-out", "resume", "force", "final-state-out",
+          "check-invariants", "kill-after-requests", "kill-in-checkpoint",
+          "hang-after-requests", "listen", "stale-ms", "publish-every"}},
+        {"chaos", cmdChaos,
+         {"scenario", "jobs", "verify", "listen", "stale-ms"}},
+        {"faults", cmdFaults, {}},
+        {"bench", cmdBench,
+         {"jobs", "scale", "seeds", "out", "baseline", "max-regress",
+          "listen", "stale-ms"}},
+    };
+    return table;
+}
+
 int
 dispatch(const Args &args)
 {
-    if (args.command == "fingerprint")
-        return cmdFingerprint(args);
-    if (args.command == "accuracy")
-        return cmdAccuracy(args);
-    if (args.command == "synth")
-        return cmdSynth(args);
-    if (args.command == "replay")
-        return cmdReplay(args);
-    if (args.command == "trace")
-        return cmdTrace(args);
-    if (args.command == "trace-convert")
-        return cmdTraceConvert(args);
-    if (args.command == "trace-stats")
-        return cmdTraceStats(args);
-    if (args.command == "run")
-        return cmdRun(args);
-    if (args.command == "chaos")
-        return cmdChaos(args);
-    if (args.command == "bench")
-        return cmdBench(args);
-    if (args.command == "faults")
-        return cmdFaults();
     if (args.command == "help" || args.command == "--help" ||
         args.command == "-h")
         return usage(cli::kOk);
+    for (const Command &c : commands()) {
+        if (args.command != c.name)
+            continue;
+        for (const auto &[key, value] : args.options) {
+            if (std::find(c.flags.begin(), c.flags.end(), key) ==
+                c.flags.end()) {
+                std::fprintf(stderr,
+                             "unknown flag --%s for '%s' (see ssdcheck "
+                             "help)\n",
+                             key.c_str(), c.name);
+                return cli::kBadArgs;
+            }
+        }
+        return c.run(args);
+    }
     return usage(cli::kUsage);
 }
 
