@@ -42,6 +42,50 @@ TelemetryHub::sequence() const
     return sequence_;
 }
 
+ShardProgress::ShardProgress(TelemetryHub *hub, const std::string &phase,
+                             uint64_t shards,
+                             const std::vector<std::string> &counters)
+    : hub_(hub), phase_(phase), shards_(shards), totals_(counters.size())
+{
+    if (hub_ == nullptr)
+        return;
+    reg_.exportCounter(phase + "_shards_done", {}, &shardsDone_);
+    for (size_t i = 0; i < counters.size(); ++i)
+        reg_.exportCounter(counters[i], {}, &totals_[i]);
+}
+
+void
+ShardProgress::shardDone(RunStatus st, const std::vector<uint64_t> &deltas)
+{
+    if (hub_ == nullptr)
+        return;
+    core::MutexLock lock(mu_);
+    shardsDone_ += 1;
+    for (size_t i = 0; i < deltas.size() && i < totals_.size(); ++i)
+        totals_[i] += deltas[i];
+    shedTotal_ += st.shedTotal;
+    publish(std::move(st), phase_);
+}
+
+void
+ShardProgress::finish(RunStatus st)
+{
+    if (hub_ == nullptr)
+        return;
+    core::MutexLock lock(mu_);
+    publish(std::move(st), "done");
+}
+
+void
+ShardProgress::publish(RunStatus st, const std::string &phase)
+{
+    st.phase = phase;
+    st.cursor = shardsDone_;
+    st.totalRequests = shards_;
+    st.shedTotal = shedTotal_;
+    hub_->publish(reg_, st);
+}
+
 std::string
 escapeLabelValue(const std::string &v)
 {

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "core/annotations.h"
 #include "obs/registry.h"
 
 namespace ssdcheck::obs {
@@ -36,7 +37,7 @@ namespace ssdcheck::obs {
 /** Run progress published alongside the metric snapshot (/runz). */
 struct RunStatus
 {
-    std::string phase;           ///< "run" | "bench" | "chaos" | "done" ...
+    std::string phase;           ///< "run" | "grid" | "chaos" | "done".
     uint64_t cursor = 0;         ///< Requests replayed so far.
     uint64_t totalRequests = 0;  ///< Trace length (0 when open-ended).
     int64_t simTimeNs = 0;       ///< Virtual time of the run.
@@ -85,6 +86,48 @@ class TelemetryHub
     mutable std::mutex mu_;
     std::shared_ptr<const TelemetrySnapshot> snap_;
     uint64_t sequence_ = 0;
+};
+
+/**
+ * The one progress publisher of a sharded loop (the grid, a chaos
+ * campaign). Shard tasks on any thread report completion here; with a
+ * hub attached, each report publishes a campaign view. The private
+ * registry holds `<phase>_shards_done` followed by the caller's named
+ * counters, each a campaign total. Every published RunStatus has
+ * cursor = shards done, totalRequests = shard count and shedTotal =
+ * the shards' shedTotal summed so far. One mutex orders the counter
+ * updates and the publish (the annotated core::Mutex, so Clang checks
+ * it), and concurrent completions publish consistent snapshots.
+ * Without a hub every call is a no-op.
+ */
+class ShardProgress
+{
+  public:
+    ShardProgress(TelemetryHub *hub, const std::string &phase,
+                  uint64_t shards, const std::vector<std::string> &counters);
+    ShardProgress(const ShardProgress &) = delete;
+    ShardProgress &operator=(const ShardProgress &) = delete;
+
+    /** One shard finished: add @p deltas to the named counters (in
+     *  constructor order) and publish @p st under the phase. */
+    void shardDone(RunStatus st, const std::vector<uint64_t> &deltas);
+
+    /** The final publish, once every shard is merged: phase "done". */
+    void finish(RunStatus st);
+
+  private:
+    void publish(RunStatus st, const std::string &phase)
+        SSDCHECK_REQUIRES(mu_);
+
+    TelemetryHub *const hub_;
+    const std::string phase_;
+    const uint64_t shards_;
+    core::Mutex mu_;
+    Registry reg_ SSDCHECK_GUARDED_BY(mu_);
+    uint64_t shardsDone_ SSDCHECK_GUARDED_BY(mu_) = 0;
+    uint64_t shedTotal_ SSDCHECK_GUARDED_BY(mu_) = 0;
+    /** Sized once: the registry views its elements. */
+    std::vector<uint64_t> totals_ SSDCHECK_GUARDED_BY(mu_);
 };
 
 /** Prometheus text exposition (format 0.0.4) of @p snap. */

@@ -8,14 +8,15 @@
 
 namespace ssdcheck::obs {
 
-/** One registered metric: owned storage or a view into a component. */
+/** One registered metric: an owned histogram or a view into a
+ *  component. */
 struct Registry::Metric
 {
     enum class Kind : uint8_t
     {
-        OwnedCounter,
-        OwnedGauge,
-        OwnedHistogram,
+        // saveState() writes this kind byte, so it keeps the value 2
+        // that snapshots (golden_snapshot_v1.ckpt) already carry.
+        OwnedHistogram = 2,
         ViewU64,
         ViewI64,
         ViewU8,
@@ -24,10 +25,7 @@ struct Registry::Metric
     std::string name;
     Labels labels;
     Kind kind;
-    // Owned storage (one of, by kind).
-    uint64_t counter = 0;
-    int64_t gauge = 0;
-    HistogramData hist;
+    HistogramData hist; // Owned storage (OwnedHistogram).
     // View sources (non-owned, by kind).
     const uint64_t *srcU64 = nullptr;
     const int64_t *srcI64 = nullptr;
@@ -36,12 +34,10 @@ struct Registry::Metric
     const char *typeName() const
     {
         switch (kind) {
-          case Kind::OwnedCounter:
           case Kind::ViewU64:
             return "counter";
           case Kind::OwnedHistogram:
             return "histogram";
-          case Kind::OwnedGauge:
           case Kind::ViewI64:
           case Kind::ViewU8:
             return "gauge";
@@ -71,30 +67,6 @@ Registry::add(Metric m)
 {
     metrics_.push_back(new Metric(std::move(m)));
     return *metrics_.back();
-}
-
-Counter
-Registry::counter(const std::string &name, Labels labels)
-{
-    if (Metric *m = find(name, labels))
-        return Counter(&m->counter);
-    Metric m;
-    m.name = name;
-    m.labels = std::move(labels);
-    m.kind = Metric::Kind::OwnedCounter;
-    return Counter(&add(std::move(m)).counter);
-}
-
-Gauge
-Registry::gauge(const std::string &name, Labels labels)
-{
-    if (Metric *m = find(name, labels))
-        return Gauge(&m->gauge);
-    Metric m;
-    m.name = name;
-    m.labels = std::move(labels);
-    m.kind = Metric::Kind::OwnedGauge;
-    return Gauge(&add(std::move(m)).gauge);
 }
 
 Histogram
@@ -191,7 +163,6 @@ Registry::snapshotMetrics() const
         s.name = m->name;
         s.labels = m->labels;
         switch (m->kind) {
-          case Metric::Kind::OwnedCounter:
           case Metric::Kind::ViewU64:
             s.type = MetricSnapshot::Type::Counter;
             break;
@@ -199,7 +170,6 @@ Registry::snapshotMetrics() const
             s.type = MetricSnapshot::Type::Histogram;
             s.hist = m->hist;
             break;
-          case Metric::Kind::OwnedGauge:
           case Metric::Kind::ViewI64:
           case Metric::Kind::ViewU8:
             s.type = MetricSnapshot::Type::Gauge;
@@ -215,10 +185,6 @@ int64_t
 Registry::read(const Metric &m)
 {
     switch (m.kind) {
-      case Metric::Kind::OwnedCounter:
-        return static_cast<int64_t>(m.counter);
-      case Metric::Kind::OwnedGauge:
-        return m.gauge;
       case Metric::Kind::OwnedHistogram:
         return static_cast<int64_t>(m.hist.count);
       case Metric::Kind::ViewU64:
@@ -353,40 +319,21 @@ Registry::toJson(sim::SimTime now) const
 void
 Registry::saveState(recovery::StateWriter &w) const
 {
-    uint32_t owned = 0;
-    for (const Metric *m : metrics_) {
-        if (m->kind == Metric::Kind::OwnedCounter ||
-            m->kind == Metric::Kind::OwnedGauge ||
-            m->kind == Metric::Kind::OwnedHistogram)
-            ++owned;
-    }
+    const auto owned = static_cast<uint32_t>(
+        std::count_if(metrics_.begin(), metrics_.end(), [](const Metric *m) {
+            return m->kind == Metric::Kind::OwnedHistogram;
+        }));
     w.u32(owned);
     for (const Metric *m : metrics_) {
-        switch (m->kind) {
-          case Metric::Kind::OwnedCounter:
-            w.str(m->name);
-            w.u8(static_cast<uint8_t>(m->kind));
-            w.u64(m->counter);
-            break;
-          case Metric::Kind::OwnedGauge:
-            w.str(m->name);
-            w.u8(static_cast<uint8_t>(m->kind));
-            w.i64(m->gauge);
-            break;
-          case Metric::Kind::OwnedHistogram:
-            w.str(m->name);
-            w.u8(static_cast<uint8_t>(m->kind));
-            w.u32(static_cast<uint32_t>(m->hist.counts.size()));
-            for (uint64_t c : m->hist.counts)
-                w.u64(c);
-            w.u64(m->hist.count);
-            w.i64(m->hist.sum);
-            break;
-          case Metric::Kind::ViewU64:
-          case Metric::Kind::ViewI64:
-          case Metric::Kind::ViewU8:
-            break;
-        }
+        if (m->kind != Metric::Kind::OwnedHistogram)
+            continue;
+        w.str(m->name);
+        w.u8(static_cast<uint8_t>(m->kind));
+        w.u32(static_cast<uint32_t>(m->hist.counts.size()));
+        for (uint64_t c : m->hist.counts)
+            w.u64(c);
+        w.u64(m->hist.count);
+        w.i64(m->hist.sum);
     }
     w.u32(static_cast<uint32_t>(timeline_.size()));
     for (const TimelineSample &s : timeline_) {
@@ -403,9 +350,7 @@ Registry::loadState(recovery::StateReader &r)
 {
     std::vector<Metric *> owned;
     for (Metric *m : metrics_) {
-        if (m->kind == Metric::Kind::OwnedCounter ||
-            m->kind == Metric::Kind::OwnedGauge ||
-            m->kind == Metric::Kind::OwnedHistogram)
+        if (m->kind == Metric::Kind::OwnedHistogram)
             owned.push_back(m);
     }
     const uint32_t n = r.u32();
@@ -422,30 +367,15 @@ Registry::loadState(recovery::StateReader &r)
             r.fail("registry metric order/shape does not match this run");
             return false;
         }
-        switch (m->kind) {
-          case Metric::Kind::OwnedCounter:
-            m->counter = r.u64();
-            break;
-          case Metric::Kind::OwnedGauge:
-            m->gauge = r.i64();
-            break;
-          case Metric::Kind::OwnedHistogram: {
-            const uint32_t nBuckets = r.u32();
-            if (r.ok() && nBuckets != m->hist.counts.size()) {
-                r.fail("registry histogram bucket count mismatch");
-                return false;
-            }
-            for (uint64_t &c : m->hist.counts)
-                c = r.u64();
-            m->hist.count = r.u64();
-            m->hist.sum = r.i64();
-            break;
-          }
-          case Metric::Kind::ViewU64:
-          case Metric::Kind::ViewI64:
-          case Metric::Kind::ViewU8:
-            break;
+        const uint32_t nBuckets = r.u32();
+        if (r.ok() && nBuckets != m->hist.counts.size()) {
+            r.fail("registry histogram bucket count mismatch");
+            return false;
         }
+        for (uint64_t &c : m->hist.counts)
+            c = r.u64();
+        m->hist.count = r.u64();
+        m->hist.sum = r.i64();
     }
     const uint64_t nSamples = r.checkCount(r.u32(), 12);
     timeline_.clear();

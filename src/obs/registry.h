@@ -6,10 +6,10 @@
  * ResilienceCounters, HealthCounters).
  *
  * Two ways onto the registry:
- *  - Owned metrics: counter()/gauge()/histogram() return light handles
- *    over registry-owned storage (get-or-create by name+labels, so
- *    callers need no registration phase). Hot-path updates are one
- *    pointer-indirect add.
+ *  - Owned histograms: histogram() returns a light handle over
+ *    registry-owned buckets (get-or-create by name+labels, so callers
+ *    need no registration phase). A hot-path observe is one
+ *    pointer-indirect bucket add.
  *  - Exported views: exportCounter()/exportGauge() register a pointer
  *    into an existing component-owned struct; the registry reads it at
  *    snapshot time. This is how the legacy counter structs surface
@@ -42,47 +42,6 @@ namespace ssdcheck::obs {
 
 /** Metric labels, e.g. {{"device","A"},{"volume","0"}}. */
 using Labels = std::vector<std::pair<std::string, std::string>>;
-
-/** Handle to a registry-owned monotonic counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-    void inc(uint64_t n = 1)
-    {
-        if (v_ != nullptr)
-            *v_ += n;
-    }
-    uint64_t value() const { return v_ == nullptr ? 0 : *v_; }
-
-  private:
-    friend class Registry;
-    explicit Counter(uint64_t *v) : v_(v) {}
-    uint64_t *v_ = nullptr;
-};
-
-/** Handle to a registry-owned point-in-time gauge. */
-class Gauge
-{
-  public:
-    Gauge() = default;
-    void set(int64_t v)
-    {
-        if (v_ != nullptr)
-            *v_ = v;
-    }
-    void add(int64_t v)
-    {
-        if (v_ != nullptr)
-            *v_ += v;
-    }
-    int64_t value() const { return v_ == nullptr ? 0 : *v_; }
-
-  private:
-    friend class Registry;
-    explicit Gauge(int64_t *v) : v_(v) {}
-    int64_t *v_ = nullptr;
-};
 
 /** Registry-owned histogram state (fixed upper-bound buckets). */
 struct HistogramData
@@ -147,7 +106,7 @@ class Histogram
     HistogramData *d_ = nullptr;
 };
 
-/** The registry: owned metrics + exported views + timeline. */
+/** The registry: owned histograms + exported views + timeline. */
 class Registry
 {
   public:
@@ -156,9 +115,7 @@ class Registry
     Registry &operator=(const Registry &) = delete;
     ~Registry();
 
-    // -- owned metrics (get-or-create by name+labels) ---------------------
-    Counter counter(const std::string &name, Labels labels = {});
-    Gauge gauge(const std::string &name, Labels labels = {});
+    // -- owned histograms (get-or-create by name+labels) ------------------
     /** @param bounds ascending inclusive upper bounds in the metric's
      *        unit; a final +inf bucket is implicit. */
     Histogram histogram(const std::string &name,
@@ -219,14 +176,14 @@ class Registry
     std::string toJson(sim::SimTime now) const;
 
     /**
-     * Serialize owned-metric values and the timeline. Exported views
+     * Serialize owned histograms and the timeline. Exported views
      * are skipped: their storage lives in component structs that
      * serialize themselves; after a component-level restore the views
      * read the restored values with no further work.
      */
     void saveState(recovery::StateWriter &w) const;
 
-    /** Restore state saved by saveState(). Every owned metric must
+    /** Restore state saved by saveState(). Every owned histogram must
      *  already be registered, in the same order, with the same name
      *  and shape. @return reader still ok. */
     bool loadState(recovery::StateReader &r);

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -118,26 +117,8 @@ runGrid(const GridSpec &spec, unsigned jobs)
     // Pre-sized so shard tasks write disjoint slots without locking.
     std::vector<std::vector<GridCell>> cellsByShard(shards.size());
 
-    // Live-progress state shared by shard tasks when a telemetry hub
-    // is attached. One mutex guards both the counters and the publish,
-    // so concurrent shard completions publish consistent snapshots.
-    struct GridProgress
-    {
-        std::mutex mu;
-        obs::Registry reg;
-        uint64_t shardsDone = 0;
-        uint64_t requestsDone = 0;
-    };
-    std::unique_ptr<GridProgress> progress;
-    if (spec.telemetry != nullptr) {
-        progress = std::make_unique<GridProgress>();
-        progress->reg.exportCounter("grid_shards_done", {},
-                                    &progress->shardsDone);
-        progress->reg.exportCounter("grid_requests_done", {},
-                                    &progress->requestsDone);
-    }
-    GridProgress *prog = progress.get();
-    const uint64_t shardCount = shards.size();
+    obs::ShardProgress progress(spec.telemetry, "grid", shards.size(),
+                                {"grid_requests_done"});
 
     std::vector<std::pair<std::string, std::function<uint64_t()>>> tasks;
     tasks.reserve(shards.size());
@@ -146,8 +127,8 @@ runGrid(const GridSpec &spec, unsigned jobs)
         std::string label = ssd::toString(sh.model);
         if (spec.seeds.size() > 1 || sh.seed != 0)
             label += "/seed" + std::to_string(sh.seed);
-        tasks.emplace_back(label, [&spec, sh, i, &cellsByShard, prog,
-                                   shardCount]() {
+        tasks.emplace_back(label, [&spec, sh, i, &cellsByShard,
+                                   &progress]() {
             auto dev = std::make_unique<ssd::SsdDevice>(
                 ssd::makePreset(sh.model, sh.seed));
             core::DiagnosisRunner runner(*dev, core::DiagnosisConfig{});
@@ -174,16 +155,7 @@ runGrid(const GridSpec &spec, unsigned jobs)
                 ios += trace.size();
                 cells.push_back(cell);
             }
-            if (prog != nullptr) {
-                const std::lock_guard<std::mutex> lk(prog->mu);
-                prog->shardsDone += 1;
-                prog->requestsDone += ios;
-                obs::RunStatus st;
-                st.phase = "grid";
-                st.cursor = prog->shardsDone;
-                st.totalRequests = shardCount;
-                spec.telemetry->publish(prog->reg, st);
-            }
+            progress.shardDone(obs::RunStatus{}, {ios});
             return ios;
         });
     }
@@ -196,16 +168,9 @@ runGrid(const GridSpec &spec, unsigned jobs)
             out.cells.push_back(c);
 
     // Deterministic final publish: all shards merged, cursor = total.
-    if (prog != nullptr) {
-        const std::lock_guard<std::mutex> lk(prog->mu);
-        obs::RunStatus st;
-        st.phase = "done";
-        st.cursor = prog->shardsDone;
-        st.totalRequests = shardCount;
-        st.simTimeNs =
-            out.cells.empty() ? 0 : out.cells.back().simEnd.ns();
-        spec.telemetry->publish(prog->reg, st);
-    }
+    obs::RunStatus last;
+    last.simTimeNs = out.cells.empty() ? 0 : out.cells.back().simEnd.ns();
+    progress.finish(last);
     return out;
 }
 

@@ -146,6 +146,26 @@ RunStack::step()
     return s;
 }
 
+obs::RunStatus
+RunStack::status(const char *phase) const
+{
+    obs::RunStatus st;
+    st.phase = phase;
+    st.cursor = cursor_;
+    st.totalRequests = trace_.size();
+    st.simTimeNs = t_.ns();
+    if (pdev_) {
+        st.breakerState = static_cast<uint8_t>(pdev_->breakerState());
+        st.ladderLevel = static_cast<uint8_t>(pdev_->ladderLevel());
+        st.shedTotal = pdev_->counters().shedTotal();
+        const int64_t ppm = pdev_->errorBudgetPpm();
+        st.errorBudgetPpm = ppm > 0 ? static_cast<uint64_t>(ppm) : 0;
+    }
+    if (sup_)
+        st.supervisorState = static_cast<uint8_t>(sup_->state());
+    return st;
+}
+
 template <typename Self, typename Visit>
 void
 RunStack::forEachSection(Self &self, Visit &&visit)

@@ -33,6 +33,7 @@
 #include "core/accuracy.h"
 #include "core/health_supervisor.h"
 #include "core/ssdcheck.h"
+#include "obs/exporter/telemetry.h"
 #include "obs/registry.h"
 #include "obs/sink.h"
 #include "recovery/snapshot.h"
@@ -133,6 +134,11 @@ class RunStack
 
     /** Current host time. */
     sim::SimTime now() const { return t_; }
+
+    /** The /runz view of this stack under @p phase: progress, sim
+     *  time, and the policy and supervisor state of the layers it has
+     *  (checkpoints is left 0; the driver counts them). */
+    obs::RunStatus status(const char *phase) const;
 
     /** Accuracy confusion counts so far (model runs only). */
     const core::AccuracyResult &accuracy() const { return loop_.acc; }

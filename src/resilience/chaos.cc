@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <mutex>
 #include <sstream>
 #include <type_traits>
 
@@ -451,28 +450,8 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
     const size_t n = scenario.seeds.size();
     out.shards.resize(n);
 
-    // Campaign-progress state shared by shard tasks when a telemetry
-    // hub is attached. One mutex guards both the counters and the
-    // publish, so concurrent shard completions publish consistently.
-    struct CampaignProgress
-    {
-        std::mutex mu;
-        obs::Registry reg;
-        uint64_t shardsDone = 0;
-        uint64_t completedOk = 0;
-        uint64_t shed = 0;
-    };
-    std::unique_ptr<CampaignProgress> progress;
-    if (telemetry != nullptr) {
-        progress = std::make_unique<CampaignProgress>();
-        progress->reg.exportCounter("chaos_shards_done", {},
-                                    &progress->shardsDone);
-        progress->reg.exportCounter("chaos_completed_ok", {},
-                                    &progress->completedOk);
-        progress->reg.exportCounter("chaos_shed_total", {},
-                                    &progress->shed);
-    }
-    CampaignProgress *prog = progress.get();
+    obs::ShardProgress progress(telemetry, "chaos", n,
+                                {"chaos_completed_ok", "chaos_shed_total"});
 
     // No more workers than shards (a zero count clamps to one).
     perf::ThreadPool pool(static_cast<unsigned>(std::min<size_t>(jobs, n)));
@@ -530,24 +509,9 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
         for (std::string &v : shard->checkInvariants())
             r.failures.push_back("invariant: " + std::move(v));
 
-        if (prog != nullptr) {
-            const std::lock_guard<std::mutex> lk(prog->mu);
-            prog->shardsDone += 1;
-            prog->completedOk += r.completedOk;
-            prog->shed += r.shed;
-            obs::RunStatus st;
-            st.phase = "chaos";
-            st.cursor = prog->shardsDone;
-            st.totalRequests = n;
-            st.simTimeNs = r.finalTime.ns();
-            st.breakerState =
-                static_cast<uint8_t>(shard->policy().breakerState());
-            st.ladderLevel =
-                static_cast<uint8_t>(shard->policy().ladderLevel());
-            st.shedTotal = prog->shed;
-            st.healthy = r.failures.empty();
-            telemetry->publish(prog->reg, st);
-        }
+        obs::RunStatus st = shard->status("chaos");
+        st.healthy = r.failures.empty();
+        progress.shardDone(st, {r.completedOk, r.shed});
     });
 
     out.campaignDigest = kChaosDigestInit;
@@ -559,16 +523,9 @@ runChaosCampaign(const ChaosScenario &scenario, unsigned jobs,
     }
 
     // Deterministic final publish after the seed-order fold.
-    if (prog != nullptr) {
-        const std::lock_guard<std::mutex> lk(prog->mu);
-        obs::RunStatus st;
-        st.phase = "done";
-        st.cursor = prog->shardsDone;
-        st.totalRequests = n;
-        st.shedTotal = prog->shed;
-        st.healthy = out.pass;
-        telemetry->publish(prog->reg, st);
-    }
+    obs::RunStatus last;
+    last.healthy = out.pass;
+    progress.finish(last);
     return out;
 }
 

@@ -95,6 +95,7 @@ class ChaosShard : private recovery::RunStack
     using RunStack::cursor;
     using RunStack::done;
     using RunStack::now;
+    using RunStack::status;
     using RunStack::trace;
 
     /** Replay one request and fold its outcome into the digest. */

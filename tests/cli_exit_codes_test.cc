@@ -6,7 +6,8 @@
  * from crashed runs by code alone.
  *
  * Build wiring provides:
- *   SSDCHECK_CLI_BIN  absolute path of the ssdcheck CLI binary
+ *   SSDCHECK_CLI_BIN   absolute path of the ssdcheck CLI binary
+ *   SSDCHECK_SOAK_BIN  absolute path of the ssdcheck_soak harness
  */
 #include <cstdio>
 #include <cstdlib>
@@ -22,14 +23,13 @@ namespace {
 
 namespace cli = ssdcheck::cli;
 
-/** Run the real binary; returns its exit code, captures stdout+stderr.
- *  @p shellPrefix runs in the same shell first (e.g. a ulimit). */
+/** Run @p bin with @p args; returns its exit code, captures
+ *  stdout+stderr. @p shellPrefix runs in the same shell first. */
 int
-runCli(const std::string &args, std::string *out,
-       const std::string &shellPrefix = "")
+runBinary(const std::string &bin, const std::string &args, std::string *out,
+          const std::string &shellPrefix = "")
 {
-    const std::string cmd = shellPrefix + std::string(SSDCHECK_CLI_BIN) +
-                            " " + args + " 2>&1";
+    const std::string cmd = shellPrefix + bin + " " + args + " 2>&1";
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     if (pipe == nullptr)
@@ -42,6 +42,14 @@ runCli(const std::string &args, std::string *out,
         *out = os.str();
     const int status = pclose(pipe);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** runBinary on the ssdcheck CLI (e.g. @p shellPrefix = a ulimit). */
+int
+runCli(const std::string &args, std::string *out,
+       const std::string &shellPrefix = "")
+{
+    return runBinary(SSDCHECK_CLI_BIN, args, out, shellPrefix);
 }
 
 TEST(CliExitCodes, EnumValuesAreTheDocumentedContract)
@@ -118,6 +126,50 @@ TEST(CliExitCodes, UnknownFlagsExitBadArgs)
         EXPECT_EQ(runCli(args, &out), cli::kBadArgs) << args << "\n" << out;
         EXPECT_NE(out.find("unknown flag --"), std::string::npos)
             << args << "\n" << out;
+    }
+}
+
+TEST(CliExitCodes, StrayPositionalWordsExitBadArgs)
+{
+    // A word that is neither a flag nor a flag's value is named and
+    // refused; `fingerprint D` used to fingerprint device A and exit 0.
+    for (const char *args :
+         {"fingerprint D", "accuracy --device A extra",
+          "run --scale 0.01 oops", "faults all"}) {
+        std::string out;
+        EXPECT_EQ(runCli(args, &out), cli::kBadArgs) << args << "\n" << out;
+        EXPECT_NE(out.find("unexpected argument '"), std::string::npos)
+            << args << "\n" << out;
+    }
+    std::string out;
+    EXPECT_EQ(runBinary(SSDCHECK_SOAK_BIN, "--cycles 1 stray", &out),
+              cli::kBadArgs)
+        << out;
+    EXPECT_NE(out.find("unexpected argument 'stray'"), std::string::npos)
+        << out;
+}
+
+TEST(CliExitCodes, SynthSpanBelowFivePagesExitsBadArgs)
+{
+    // Spans 0..4 used to die of SIGFPE in the RW Mixed synthesizer.
+    for (const char *span : {"0", "4"}) {
+        std::string out;
+        EXPECT_EQ(runCli("synth --workload 'RW Mixed' --out /dev/null "
+                         "--scale 0.001 --span " +
+                             std::string(span),
+                         &out),
+                  cli::kBadArgs)
+            << span << "\n" << out;
+        EXPECT_NE(out.find("--span"), std::string::npos) << out;
+    }
+    for (const char *w :
+         {"TPCE", "Homes", "Web", "Exch", "Live", "Build", "'RW Mixed'"}) {
+        std::string out;
+        EXPECT_EQ(runCli(std::string("synth --workload ") + w +
+                             " --out /dev/null --scale 0.001 --span 5",
+                         &out),
+                  cli::kOk)
+            << w << "\n" << out;
     }
 }
 

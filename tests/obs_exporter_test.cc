@@ -43,8 +43,10 @@ TEST(Exposition, EscapeLabelValue)
 void
 fillRegistry(Registry *reg)
 {
-    reg->counter("requests_total", {{"device", "A"}}).inc(3);
-    reg->gauge("queue_depth").set(-2);
+    static const uint64_t kRequests = 3;
+    static const int64_t kQueueDepth = -2;
+    reg->exportCounter("requests_total", {{"device", "A"}}, &kRequests);
+    reg->exportGauge("queue_depth", {}, &kQueueDepth);
     Histogram h = reg->histogram("latency_ns", {100, 200});
     h.observe(50);
     h.observe(150);
@@ -122,8 +124,8 @@ TEST(TelemetryHubTest, SnapshotIsAnImmutableDeepCopy)
     EXPECT_EQ(hub.sequence(), 0u);
 
     Registry reg;
-    Counter c = reg.counter("reqs");
-    c.inc(5);
+    uint64_t reqs = 5;
+    reg.exportCounter("reqs", {}, &reqs);
     RunStatus st;
     st.phase = "run";
     hub.publish(reg, st);
@@ -132,7 +134,7 @@ TEST(TelemetryHubTest, SnapshotIsAnImmutableDeepCopy)
     EXPECT_EQ(snap->sequence, 1u);
 
     // Mutating the live registry must not leak into the snapshot.
-    c.inc(100);
+    reqs += 100;
     ASSERT_EQ(snap->metrics.size(), 1u);
     EXPECT_EQ(snap->metrics[0].value, 5);
 

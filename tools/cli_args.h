@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 namespace ssdcheck::cli {
 
@@ -20,6 +21,9 @@ struct Args
 {
     std::string command;
     std::map<std::string, std::string> options;
+    /** Words that are neither a --key nor its value. No tool takes
+     *  any; they are kept so the tools can refuse them. */
+    std::vector<std::string> positional;
     bool has(const std::string &k) const { return options.count(k) > 0; }
     std::string get(const std::string &k, const std::string &dflt) const
     {
@@ -38,8 +42,10 @@ parseArgs(int argc, char **argv, bool hasCommand)
         a.command = argv[i++];
     for (; i < argc; ++i) {
         std::string key = argv[i];
-        if (key.rfind("--", 0) != 0)
+        if (key.rfind("--", 0) != 0) {
+            a.positional.push_back(key);
             continue;
+        }
         key = key.substr(2);
         const size_t eq = key.find('=');
         if (eq != std::string::npos)

@@ -512,7 +512,13 @@ int
 main(int argc, char **argv)
 {
     try {
-        return soak(cli::parseArgs(argc, argv, false));
+        const Args args = cli::parseArgs(argc, argv, false);
+        if (!args.positional.empty()) {
+            std::fprintf(stderr, "unexpected argument '%s'\n",
+                         args.positional[0].c_str());
+            return 2;
+        }
+        return soak(args);
     } catch (const cli::BadFlag &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;

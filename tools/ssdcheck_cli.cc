@@ -254,29 +254,6 @@ startTelemetry(const Args &args, Telemetry *t, int *rc)
     return true;
 }
 
-/** Snapshot the run's progress for a telemetry publish. */
-obs::RunStatus
-runStatusOf(const recovery::CheckpointableRun &run, const char *phase,
-            uint64_t checkpoints)
-{
-    obs::RunStatus st;
-    st.phase = phase;
-    st.cursor = run.cursor();
-    st.totalRequests = run.trace().size();
-    st.simTimeNs = run.now().ns();
-    st.checkpoints = checkpoints;
-    if (const resilience::PolicyDevice *p = run.policyPtr()) {
-        st.breakerState = static_cast<uint8_t>(p->breakerState());
-        st.ladderLevel = static_cast<uint8_t>(p->ladderLevel());
-        st.shedTotal = p->counters().shedTotal();
-        const int64_t ppm = p->errorBudgetPpm();
-        st.errorBudgetPpm = ppm > 0 ? static_cast<uint64_t>(ppm) : 0;
-    }
-    if (const core::HealthSupervisor *s = run.supervisorPtr())
-        st.supervisorState = static_cast<uint8_t>(s->state());
-    return st;
-}
-
 int
 cmdFingerprint(const Args &args)
 {
@@ -371,6 +348,11 @@ cmdSynth(const Args &args)
     const std::string se = recovery::scaleError(scale);
     if (!se.empty()) {
         std::fprintf(stderr, "%s\n", se.c_str());
+        return cli::kBadArgs;
+    }
+    // The synthesizer draws offsets below span - 4 (a 4-page request).
+    if (span < 5) {
+        std::fprintf(stderr, "--span must be at least 5 pages\n");
         return cli::kBadArgs;
     }
     const auto trace = workload::buildSniaTrace(w, span, scale);
@@ -747,9 +729,11 @@ cmdRun(const Args &args)
 
     uint64_t checkpoints = 0;
     auto publish = [&](const char *phase) {
-        if (tele.active())
-            tele.hub.publish(run->registry(),
-                             runStatusOf(*run, phase, checkpoints));
+        if (!tele.active())
+            return;
+        obs::RunStatus st = run->status(phase);
+        st.checkpoints = checkpoints;
+        tele.hub.publish(run->registry(), st);
     };
     publish("run");
 
@@ -1032,6 +1016,13 @@ dispatch(const Args &args)
     for (const Command &c : commands()) {
         if (args.command != c.name)
             continue;
+        if (!args.positional.empty()) {
+            std::fprintf(stderr,
+                         "unexpected argument '%s' for '%s' (see ssdcheck "
+                         "help)\n",
+                         args.positional[0].c_str(), c.name);
+            return cli::kBadArgs;
+        }
         for (const auto &[key, value] : args.options) {
             if (std::find(c.flags.begin(), c.flags.end(), key) ==
                 c.flags.end()) {
